@@ -379,6 +379,9 @@ fn sim_from_value(value: &Json) -> Result<SimParams, SpecError> {
     let mut sim = SimParams::new();
     if let Some(v) = value.get("vcs") {
         sim.vcs = as_usize(v, "sim.vcs")?;
+        if !(1..=64).contains(&sim.vcs) {
+            return Err(invalid("sim.vcs", "an input port has 1 to 64 VCs"));
+        }
     }
     if let Some(v) = value.get("vc_depth") {
         sim.vc_depth_flits = as_usize(v, "sim.vc_depth")?;
@@ -404,6 +407,15 @@ fn sim_from_value(value: &Json) -> Result<SimParams, SpecError> {
         sim.record_invariants = v
             .as_bool()
             .ok_or_else(|| invalid("sim.record_invariants", "expected a boolean"))?;
+    }
+    if !(1..=sim.vc_depth_flits).contains(&sim.packet_len_flits) {
+        return Err(invalid(
+            "sim.packet_len",
+            format!(
+                "a packet needs 1 to vc_depth ({}) flits, got {}",
+                sim.vc_depth_flits, sim.packet_len_flits
+            ),
+        ));
     }
     Ok(sim)
 }
@@ -582,6 +594,11 @@ mod tests {
                 "iterations",
             ),
             (r#"{"name":"x","loads":[-0.5]}"#, "loads[0]"),
+            (r#"{"name":"x","sim":{"vcs":0}}"#, "sim.vcs"),
+            (r#"{"name":"x","sim":{"vcs":65}}"#, "sim.vcs"),
+            (r#"{"name":"x","sim":{"packet_len":0}}"#, "sim.packet_len"),
+            (r#"{"name":"x","sim":{"packet_len":5}}"#, "sim.packet_len"),
+            (r#"{"name":"x","sim":{"vc_depth":2}}"#, "sim.packet_len"),
             (r#"{"name":"x","schemes":["clrg"]}"#, "schemes[0]"),
             (r#"{"name":"x","topology":"ring"}"#, "topology"),
             ("[]", "spec"),
@@ -596,6 +613,18 @@ mod tests {
             campaign_from_json("{not json").unwrap_err(),
             SpecError::Json(_)
         ));
+    }
+
+    #[test]
+    fn sim_shape_limits_are_inclusive_and_every_accepted_shape_runs() {
+        let text = r#"{"name":"x","fabrics":[{"kind":"2d","radix":4}],"patterns":["uniform"],"loads":[0.2],
+            "sim":{"vcs":64,"vc_depth":3,"packet_len":3,"warmup":0,"measure":50,"drain":50}}"#;
+        let spec = campaign_from_json(text).expect("64 VCs and a full-depth packet are legal");
+        assert_eq!((spec.sim.vcs, spec.sim.packet_len_flits), (64, 3));
+        spec.run_job(&spec.jobs()[0]);
+        let spec = campaign_from_json(r#"{"name":"x","sim":{"vcs":1,"packet_len":1}}"#)
+            .expect("one VC and one-flit packets are legal");
+        assert_eq!((spec.sim.vcs, spec.sim.packet_len_flits), (1, 1));
     }
 
     #[test]

@@ -23,33 +23,10 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `jobs` into half-open spans of consecutive replicate
-/// siblings — runs where both the job index and the replicate number
-/// increment by exactly one. Replicate is the innermost expansion
-/// axis, so such a run can only be one grid point's replicates; a
-/// checkpoint-resumed list with holes simply yields shorter spans.
-/// Each span becomes one [`CampaignSpec::run_job_batch`] lane batch.
-fn replicate_spans(jobs: &[Job]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut start = 0;
-    for i in 1..=jobs.len() {
-        let extends = i < jobs.len()
-            && jobs[i].index == jobs[i - 1].index + 1
-            && jobs[i].replicate == jobs[i - 1].replicate + 1;
-        if !extends {
-            spans.push((start, i));
-            start = i;
-        }
-    }
-    spans
-}
-
 /// Runs `jobs` on `threads` workers, returning results in job order
-/// (`results[i]` belongs to `jobs[i]`). Replicate siblings run as
-/// lanes of one batched simulation (see [`CampaignSpec::run_job_batch`])
-/// and are stolen as a unit. `on_done` fires on the worker thread as
-/// each job finishes — campaigns use it to stream checkpoint lines and
-/// progress.
+/// (`results[i]` belongs to `jobs[i]`). Workers steal one job at a
+/// time. `on_done` fires on the worker thread as each job finishes —
+/// campaigns use it to stream checkpoint lines and progress.
 pub(crate) fn execute(
     spec: &CampaignSpec,
     jobs: &[Job],
@@ -58,8 +35,7 @@ pub(crate) fn execute(
     on_done: &(dyn Fn(&Job, &JobResult) + Sync),
 ) -> Vec<JobResult> {
     let total = jobs.len();
-    let spans = replicate_spans(jobs);
-    let threads = threads.max(1).min(spans.len().max(1));
+    let threads = threads.max(1).min(total.max(1));
     let counter = Counter::default();
 
     if threads == 1 {
@@ -67,13 +43,11 @@ pub(crate) fn execute(
         // explicit avoids thread spawn overhead for serial runs and
         // makes the equivalence easy to see.
         let mut results = Vec::with_capacity(total);
-        for &(start, end) in &spans {
-            let span = &jobs[start..end];
-            for (job, result) in span.iter().zip(spec.run_job_batch(span)) {
-                on_done(job, &result);
-                progress.job_done(counter.bump(), total, job, &result);
-                results.push(result);
-            }
+        for job in jobs {
+            let result = spec.run_job(job);
+            on_done(job, &result);
+            progress.job_done(counter.bump(), total, job, &result);
+            results.push(result);
         }
         return results;
     }
@@ -83,18 +57,12 @@ pub(crate) fn execute(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let s = cursor.fetch_add(1, Ordering::Relaxed);
-                if s >= spans.len() {
-                    break;
-                }
-                let (start, end) = spans[s];
-                let span = &jobs[start..end];
-                for (offset, (job, result)) in span.iter().zip(spec.run_job_batch(span)).enumerate()
-                {
-                    on_done(job, &result);
-                    progress.job_done(counter.bump(), total, job, &result);
-                    *slots[start + offset].lock().expect("result slot poisoned") = Some(result);
-                }
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let result = spec.run_job(job);
+                on_done(job, &result);
+                progress.job_done(counter.bump(), total, job, &result);
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -147,27 +115,5 @@ mod tests {
     fn empty_job_list_is_fine() {
         let spec = tiny_campaign().loads([]);
         assert!(execute(&spec, &[], 4, &Silent, &|_, _| {}).is_empty());
-    }
-
-    #[test]
-    fn replicate_spans_group_sibling_runs_only() {
-        let spec = tiny_campaign().loads([0.05, 0.1]).replicates(3);
-        let jobs = spec.jobs();
-        assert_eq!(jobs.len(), 6);
-        assert_eq!(replicate_spans(&jobs), [(0, 3), (3, 6)]);
-        // A checkpoint hole (missing job) splits its span.
-        let resumed: Vec<Job> = jobs.iter().filter(|j| j.index != 1).cloned().collect();
-        assert_eq!(replicate_spans(&resumed), [(0, 1), (1, 2), (2, 5)]);
-    }
-
-    #[test]
-    fn batched_replicates_equal_solo_runs() {
-        let spec = tiny_campaign().loads([0.05, 0.1]).replicates(3);
-        let jobs = spec.jobs();
-        let solo: Vec<_> = jobs.iter().map(|j| spec.run_job(j)).collect();
-        let batched = execute(&spec, &jobs, 1, &Silent, &|_, _| {});
-        assert_eq!(solo, batched);
-        let parallel = execute(&spec, &jobs, 4, &Silent, &|_, _| {});
-        assert_eq!(solo, parallel);
     }
 }

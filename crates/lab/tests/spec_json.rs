@@ -215,7 +215,8 @@ fn random_spec(round: usize, rng: &mut StdRng) -> CampaignSpec {
     );
     sim.vcs = rng.gen_range(1usize..8);
     sim.vc_depth_flits = rng.gen_range(1usize..8);
-    sim.packet_len_flits = rng.gen_range(1usize..8);
+    // A packet must fit in one VC buffer; longer ones are parse errors.
+    sim.packet_len_flits = rng.gen_range(1usize..sim.vc_depth_flits + 1);
     if rng.gen_bool(0.3) {
         sim = sim.window(Some(rng.gen_range(1usize..16)));
     }

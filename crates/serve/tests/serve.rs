@@ -134,6 +134,12 @@ fn malformed_input_gets_typed_errors_and_the_connection_survives() {
             "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"hirise\",\"radix\":10,\"layers\":4}]}}",
             "bad_spec",
         ),
+        (
+            // A packet longer than its VC buffer: refused at parse time,
+            // not a worker panic in the simulator.
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"sim\":{\"vc_depth\":2,\"packet_len\":4}}}",
+            "bad_spec",
+        ),
     ] {
         client.send(line);
         let response = client.recv_json();

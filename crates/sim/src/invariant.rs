@@ -23,7 +23,11 @@
 //!
 //! The checker is wired into [`crate::NetworkSim`] and enabled by
 //! default in debug builds (`debug_assertions`); release builds skip it
-//! unless [`crate::SimConfig::check_invariants`] turns it on.
+//! unless [`crate::SimConfig::check_invariants`] or
+//! [`crate::SimConfig::record_invariants`] turns it on, as every
+//! `hirise-lab` job does. Its per-cycle work allocates nothing once
+//! warm: grant legality uses scratch kept on the checker and a
+//! per-input request lookup, and FIFO order a dense `(input, VC)` table.
 //!
 //! The checker runs in one of two modes. In the default *panic* mode
 //! ([`InvariantChecker::new`]) a violation aborts with the offending
@@ -39,7 +43,9 @@
 use crate::packet::Packet;
 use crate::port::InputPort;
 use hirise_core::{Grant, Request};
-use std::collections::HashMap;
+
+#[cfg(test)]
+mod reference;
 
 /// One recorded invariant violation (recording mode only).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,6 +70,12 @@ enum Mode {
 /// broken invariant usually re-fires every subsequent cycle).
 const MAX_RECORDED: usize = 16;
 
+/// `requested` entry of an input that presented no request this round.
+const NO_REQUEST: usize = usize::MAX;
+/// `requested` entry of an input that presented more than one request
+/// this round (illegal, but the grant check must still see every one).
+const REPEATED: usize = usize::MAX - 1;
+
 /// Audits a simulation cycle-by-cycle for conservation, buffer-bound,
 /// ordering, and grant-legality invariants.
 #[derive(Clone, Debug, Default)]
@@ -72,8 +84,16 @@ pub struct InvariantChecker {
     delivered_packets: u64,
     injected_flits: u64,
     delivered_flits: u64,
-    /// Last delivered packet id per `(input, vc)` FIFO lane.
-    last_delivered: HashMap<(usize, usize), u64>,
+    /// Last delivered packet id per FIFO lane, indexed `[input][vc]`;
+    /// rows and lanes are added on first use.
+    last_delivered: Vec<Vec<Option<u64>>>,
+    /// Per-round arbitration scratch, all false between rounds: which
+    /// outputs and inputs this round's grants have claimed so far.
+    out_granted: Vec<bool>,
+    in_granted: Vec<bool>,
+    /// Per-round request lookup by input, all [`NO_REQUEST`] between
+    /// rounds: the output an input requested, or [`REPEATED`].
+    requested: Vec<usize>,
     cycles_checked: u64,
     mode: Mode,
     violations: Vec<InvariantViolation>,
@@ -170,7 +190,14 @@ impl InvariantChecker {
     pub fn on_delivery(&mut self, input: usize, vc: usize, packet: &Packet) {
         self.delivered_packets += 1;
         self.delivered_flits += packet.len_flits as u64;
-        if let Some(&last) = self.last_delivered.get(&(input, vc)) {
+        if input >= self.last_delivered.len() {
+            self.last_delivered.resize_with(input + 1, Vec::new);
+        }
+        let lanes = &mut self.last_delivered[input];
+        if vc >= lanes.len() {
+            lanes.resize(vc + 1, None);
+        }
+        if let Some(last) = lanes[vc].replace(packet.id) {
             self.check(packet.id > last, None, || {
                 format!(
                     "invariant violated: input {input} VC {vc} delivered packet \
@@ -179,7 +206,6 @@ impl InvariantChecker {
                 )
             });
         }
-        self.last_delivered.insert((input, vc), packet.id);
     }
 
     /// Checks one arbitration round for grant legality.
@@ -197,34 +223,58 @@ impl InvariantChecker {
         busy_out_before: &[bool],
     ) {
         let radix = busy_out_before.len();
-        let mut out_granted = vec![false; radix];
-        let mut in_granted = vec![false; radix];
+        if self.out_granted.len() < radix {
+            self.out_granted.resize(radix, false);
+            self.in_granted.resize(radix, false);
+        }
+        for request in requests {
+            let input = request.input.index();
+            if input >= self.requested.len() {
+                self.requested.resize(input + 1, NO_REQUEST);
+            }
+            let slot = &mut self.requested[input];
+            *slot = if *slot == NO_REQUEST {
+                request.output.index()
+            } else {
+                REPEATED
+            };
+        }
         for grant in grants {
             let input = grant.input.index();
             let output = grant.output.index();
-            self.check(
-                requests
+            let answered = match self.requested.get(input) {
+                None | Some(&NO_REQUEST) => false,
+                Some(&REPEATED) => requests
                     .iter()
                     .any(|r| r.input == grant.input && r.output == grant.output),
-                Some(cycle),
-                || {
-                    format!(
-                        "invariant violated at cycle {cycle}: grant {input}->{output} \
-                         answers no presented request"
-                    )
-                },
-            );
-            self.check(!out_granted[output], Some(cycle), || {
+                Some(&requested) => requested == output,
+            };
+            self.check(answered, Some(cycle), || {
+                format!(
+                    "invariant violated at cycle {cycle}: grant {input}->{output} \
+                     answers no presented request"
+                )
+            });
+            // Slicing to `radix` keeps an out-of-range grant panicking
+            // even when the scratch is longer from an earlier round.
+            let output_twice = std::mem::replace(&mut self.out_granted[..radix][output], true);
+            self.check(!output_twice, Some(cycle), || {
                 format!("invariant violated at cycle {cycle}: output {output} granted twice")
             });
-            self.check(!in_granted[input], Some(cycle), || {
+            let input_twice = std::mem::replace(&mut self.in_granted[..radix][input], true);
+            self.check(!input_twice, Some(cycle), || {
                 format!("invariant violated at cycle {cycle}: input {input} granted twice")
             });
             self.check(!busy_out_before[output], Some(cycle), || {
                 format!("invariant violated at cycle {cycle}: grant to busy output {output}")
             });
-            out_granted[output] = true;
-            in_granted[input] = true;
+        }
+        for grant in grants {
+            self.out_granted[grant.output.index()] = false;
+            self.in_granted[grant.input.index()] = false;
+        }
+        for request in requests {
+            self.requested[request.input.index()] = NO_REQUEST;
         }
     }
 
@@ -306,7 +356,9 @@ impl InvariantChecker {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceChecker;
     use super::*;
+    use hirise_core::rng::{Rng, SeedableRng, StdRng};
     use hirise_core::{InputId, OutputId};
 
     fn packet(id: u64, len: usize) -> Packet {
@@ -438,5 +490,160 @@ mod tests {
         assert_eq!(ck.violation_count(), 40);
         assert_eq!(ck.violations().len(), 16);
         assert_eq!(ck.violations()[3].cycle, Some(3));
+    }
+
+    /// Drives the checker and the [`ReferenceChecker`] oracle with the
+    /// same event stream and requires identical verdicts after every
+    /// cycle. The stream is a small switch's real port traffic; odd
+    /// seeds corrupt it with repeated-input and out-of-range requests,
+    /// unsolicited, double and busy-output grants, fabricated
+    /// (reordering) deliveries, leaked packets and understated VC
+    /// counts, while even seeds stay legal and must record nothing.
+    #[test]
+    fn matches_reference_checker_on_random_event_streams() {
+        let mut seen = [0u64; 6];
+        let kinds = [
+            "answers no presented request",
+            "granted twice",
+            "busy output",
+            "FIFO lane reordered",
+            "packet conservation broken",
+            "packets in",
+        ];
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let illegal = seed % 2 == 1;
+            let p_bad = if illegal { 0.08 } else { 0.0 };
+            let radix = rng.gen_range(1..9usize);
+            let vcs = rng.gen_range(1..5usize);
+            let mut ports: Vec<InputPort> = (0..radix).map(|_| InputPort::new(vcs)).collect();
+            let mut transferring = vec![false; radix];
+            let mut ck = InvariantChecker::recording();
+            let mut oracle = ReferenceChecker::default();
+            let mut next_id = 0u64;
+            for cycle in 0..80u64 {
+                // Completions, plus fabricated deliveries on random lanes.
+                for input in 0..radix {
+                    if transferring[input] && rng.gen_bool(0.5) {
+                        let vc = ports[input].active_vc().expect("transferring");
+                        let done = ports[input].complete_transfer();
+                        transferring[input] = false;
+                        ck.on_delivery(input, vc, &done);
+                        oracle.on_delivery(input, vc, &done);
+                    }
+                }
+                if rng.gen_bool(p_bad) {
+                    let (input, vc) = (rng.gen_range(0..radix), rng.gen_range(0..vcs));
+                    let fake = packet(rng.gen_range(0..next_id + 1), rng.gen_range(1..5));
+                    ck.on_delivery(input, vc, &fake);
+                    oracle.on_delivery(input, vc, &fake);
+                }
+                // Injections; an illegal stream sometimes drops one.
+                for port in &mut ports {
+                    if rng.gen_bool(0.3) {
+                        let mut p = packet(next_id, rng.gen_range(1..5));
+                        p.dst = OutputId::new(rng.gen_range(0..radix));
+                        next_id += 1;
+                        ck.on_injection(&p);
+                        oracle.on_injection(&p);
+                        if !rng.gen_bool(p_bad) {
+                            port.inject(p);
+                        }
+                    }
+                }
+                // Requests from idle ports, then corruptions.
+                let mut requests = Vec::new();
+                for (input, port) in ports.iter_mut().enumerate() {
+                    port.fill_vcs();
+                    if !transferring[input] {
+                        if let Some(dst) = port.select_candidate_dst() {
+                            requests.push(Request::new(InputId::new(input), dst));
+                        }
+                    }
+                }
+                let output = |rng: &mut StdRng| OutputId::new(rng.gen_range(0..radix));
+                if rng.gen_bool(p_bad) && !requests.is_empty() {
+                    let input = requests[rng.gen_range(0..requests.len())].input;
+                    let at = rng.gen_range(0..requests.len() + 1);
+                    requests.insert(at, Request::new(input, output(&mut rng)));
+                }
+                if rng.gen_bool(p_bad) {
+                    let input = InputId::new(radix + rng.gen_range(0..3));
+                    requests.push(Request::new(input, output(&mut rng)));
+                }
+                // Grants: a conflict-free subset of the requests, then
+                // corruptions.
+                let mut busy = vec![false; radix];
+                let mut grants: Vec<Grant> = Vec::new();
+                for r in &requests {
+                    let free = r.input.index() < radix
+                        && grants
+                            .iter()
+                            .all(|g| g.input != r.input && g.output != r.output);
+                    if free && rng.gen_bool(0.6) {
+                        grants.push(Grant {
+                            input: r.input,
+                            output: r.output,
+                        });
+                    }
+                }
+                if rng.gen_bool(p_bad) {
+                    let input = InputId::new(rng.gen_range(0..radix));
+                    grants.push(Grant {
+                        input,
+                        output: output(&mut rng),
+                    });
+                }
+                if rng.gen_bool(p_bad) && !grants.is_empty() {
+                    let twice = grants[rng.gen_range(0..grants.len())];
+                    grants.push(twice);
+                }
+                if rng.gen_bool(p_bad) && !grants.is_empty() {
+                    busy[grants[rng.gen_range(0..grants.len())].output.index()] = true;
+                }
+                if rng.gen_bool(p_bad) {
+                    busy[rng.gen_range(0..radix)] = true;
+                }
+                ck.after_arbitration(cycle, &requests, &grants, &busy);
+                oracle.after_arbitration(cycle, &requests, &grants, &busy);
+                for r in &requests {
+                    let input = r.input.index();
+                    if input >= radix || transferring[input] {
+                        continue;
+                    }
+                    if grants.iter().any(|g| g.input == r.input) {
+                        ports[input].confirm_grant();
+                        transferring[input] = true;
+                    } else {
+                        ports[input].revoke_candidate();
+                    }
+                }
+                let audited_vcs = if rng.gen_bool(p_bad) { vcs - 1 } else { vcs };
+                ck.end_of_cycle(cycle, &ports, audited_vcs);
+                oracle.end_of_cycle(cycle, &ports, audited_vcs);
+
+                assert_eq!(
+                    ck.violations(),
+                    oracle.violations(),
+                    "seed {seed} cycle {cycle}"
+                );
+                assert_eq!(
+                    ck.violation_count(),
+                    oracle.violation_count(),
+                    "seed {seed} cycle {cycle}"
+                );
+            }
+            if !illegal {
+                assert_eq!(ck.violation_count(), 0, "legal stream, seed {seed}");
+            }
+            for v in oracle.violations() {
+                for (count, kind) in seen.iter_mut().zip(kinds) {
+                    *count += u64::from(v.message.contains(kind));
+                }
+            }
+        }
+        for (count, kind) in seen.iter().zip(kinds) {
+            assert!(*count > 0, "no stream produced a \"{kind}\" violation");
+        }
     }
 }

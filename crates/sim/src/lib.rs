@@ -19,9 +19,7 @@
 //! ([`mesh_sim`], realising the paper's Fig. 13 topology; [`mesh`]
 //! holds the matching graph-level analysis). Load sweeps and the
 //! saturation search live in the `hirise-lab` experiment-campaign crate,
-//! which drives this simulator in parallel across configurations;
-//! replicate sweeps run as interleaved lanes of one [`LaneBatch`], each
-//! lane byte-identical to a solo run at the same seed.
+//! which drives this simulator in parallel across configurations.
 //!
 //! Correctness is audited two ways: [`diff`] co-simulates every fabric
 //! against an ideal golden-model crossbar ([`RefSwitch`]) under
@@ -79,5 +77,5 @@ pub use engine::NetSchedule;
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use packet::Packet;
 pub use port::InputPort;
-pub use sim::{LaneBatch, NetworkSim, SimConfig};
+pub use sim::{NetworkSim, SimConfig};
 pub use stats::{LatencyHistogram, SimReport};

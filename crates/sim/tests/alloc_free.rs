@@ -4,9 +4,10 @@
 //! capacity, and the counter must then stay at zero across 1 000 further
 //! cycles of uniform-random traffic.
 //!
-//! The whole proof lives in a single `#[test]` function: the counter is
-//! thread-local, so parallel test threads cannot pollute it, but one
-//! function keeps the warmup/measure windows trivially serialized too.
+//! The single-switch proof runs twice: with the invariant checker off,
+//! and with it recording, which is how every `hirise-lab` job runs.
+//! The counter is thread-local, so parallel test threads cannot
+//! pollute one another's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,13 +65,16 @@ const WARMUP_CYCLES: u64 = 20_000;
 const COUNTED_CYCLES: u64 = 1_000;
 
 /// Runs `fabric` to steady state, then counts allocations over
-/// [`COUNTED_CYCLES`] further cycles and returns the total.
-fn count_steady_state_allocations<F: Fabric>(fabric: F) -> u64 {
+/// [`COUNTED_CYCLES`] further cycles and returns the total. With
+/// `record_invariants` the per-cycle [`hirise_sim::InvariantChecker`]
+/// runs in recording mode, as every `hirise-lab` job runs it; its lane
+/// table and arbitration scratch reach full size during warmup, and a
+/// clean run records nothing, so it must allocate nothing either.
+fn count_steady_state_allocations<F: Fabric>(fabric: F, record_invariants: bool) -> u64 {
     // A warmup window longer than the whole run keeps every packet
     // unmeasured, so completions never touch the (growable) latency
-    // histogram; the invariant checker is off because its audit trail
-    // allocates by design. Injection is closed-loop (windowed) so the
-    // per-port source queues are bounded — under open-loop injection an
+    // histogram. Injection is closed-loop (windowed) so the per-port
+    // source queues are bounded — under open-loop injection an
     // unbounded queue can random-walk to a new depth record at any time,
     // which legitimately reallocates.
     let cfg = SimConfig::new(RADIX)
@@ -79,7 +83,8 @@ fn count_steady_state_allocations<F: Fabric>(fabric: F) -> u64 {
         .warmup(u64::MAX / 2)
         .measure(1)
         .seed(0xA110_C8ED)
-        .check_invariants(false);
+        .check_invariants(false)
+        .record_invariants(record_invariants);
     let mut sim = NetworkSim::new(fabric, UniformRandom::new(RADIX), cfg);
     let mut report = sim.report();
     sim.run_cycles(&mut report, WARMUP_CYCLES);
@@ -88,11 +93,15 @@ fn count_steady_state_allocations<F: Fabric>(fabric: F) -> u64 {
     COUNTING.set(true);
     sim.run_cycles(&mut report, COUNTED_CYCLES);
     COUNTING.set(false);
+    if record_invariants {
+        let checker = sim.checker().expect("recording checker is on");
+        assert_eq!(checker.violation_count(), 0, "{:?}", checker.violations());
+    }
     ALLOCATIONS.get()
 }
 
-#[test]
-fn steady_state_cycles_allocate_nothing() {
+/// Every fabric, with the invariant checker off or recording.
+fn single_switch_allocations(record_invariants: bool) -> Vec<(&'static str, u64)> {
     let hirise_cfg = HiRiseConfig::builder(RADIX, 4)
         .channel_multiplicity(4)
         .scheme(ArbitrationScheme::LayerToLayerLrg)
@@ -114,38 +123,56 @@ fn steady_state_cycles_allocate_nothing() {
         .inject_fault(Fault::flaky(FaultSite::TsvBundle { index: 1 }, 0.5))
         .expect("bundle 1 in range");
 
-    let allocations = [
+    vec![
         (
             "switch2d",
-            count_steady_state_allocations(Switch2d::new(RADIX)),
+            count_steady_state_allocations(Switch2d::new(RADIX), record_invariants),
         ),
         (
             "folded3d",
-            count_steady_state_allocations(FoldedSwitch::new(RADIX, 4)),
+            count_steady_state_allocations(FoldedSwitch::new(RADIX, 4), record_invariants),
         ),
         (
             "hirise",
-            count_steady_state_allocations(HiRiseSwitch::new(&hirise_cfg)),
+            count_steady_state_allocations(HiRiseSwitch::new(&hirise_cfg), record_invariants),
         ),
-        ("hirise+faults", count_steady_state_allocations(faulty)),
+        (
+            "hirise+faults",
+            count_steady_state_allocations(faulty, record_invariants),
+        ),
         (
             "islip2",
-            count_steady_state_allocations(MatchingSwitch::islip(RADIX, 2)),
+            count_steady_state_allocations(MatchingSwitch::islip(RADIX, 2), record_invariants),
         ),
         (
             "eslip",
-            count_steady_state_allocations(MatchingSwitch::eslip(RADIX, 2)),
+            count_steady_state_allocations(MatchingSwitch::eslip(RADIX, 2), record_invariants),
         ),
         (
             "wavefront",
-            count_steady_state_allocations(MatchingSwitch::wavefront(RADIX)),
+            count_steady_state_allocations(MatchingSwitch::wavefront(RADIX), record_invariants),
         ),
-    ];
+    ]
+}
 
-    for (fabric, count) in allocations {
+#[test]
+fn steady_state_cycles_allocate_nothing() {
+    for (fabric, count) in single_switch_allocations(false) {
         assert_eq!(
             count, 0,
             "{fabric}: {count} heap allocations across {COUNTED_CYCLES} steady-state cycles"
+        );
+    }
+}
+
+/// The lab's configuration: every job records invariants.
+#[test]
+fn steady_state_cycles_allocate_nothing_with_the_recording_checker() {
+    for (fabric, count) in single_switch_allocations(true) {
+        assert_eq!(
+            count, 0,
+            "{fabric}: {count} heap allocations across {COUNTED_CYCLES} steady-state \
+             cycles with the recording invariant checker"
         );
     }
 }
