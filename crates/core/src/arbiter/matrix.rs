@@ -126,17 +126,7 @@ impl MatrixArbiter {
     /// Panics if the mask capacity differs from the arbiter size.
     pub fn grant_mask(&self, requests: &BitSet) -> Option<usize> {
         assert_eq!(requests.capacity(), self.n, "request mask size mismatch");
-        requests.iter().find(|&candidate| {
-            let row = self.row(candidate);
-            requests.words().iter().enumerate().all(|(v, &need)| {
-                let need = if v == candidate / 64 {
-                    need & !(1u64 << (candidate % 64))
-                } else {
-                    need
-                };
-                need & !row[v] == 0
-            })
-        })
+        grant_mask_rows(&self.words, self.w, requests)
     }
 
     /// As [`grant_mask`](Self::grant_mask), but taking the request set as
@@ -153,30 +143,7 @@ impl MatrixArbiter {
             self.n.is_multiple_of(64) || requests[W - 1] & !((1u64 << (self.n % 64)) - 1) == 0,
             "request bits beyond the arbiter size"
         );
-        for word in 0..W {
-            let mut rest = requests[word];
-            while rest != 0 {
-                let candidate_bit = rest & rest.wrapping_neg();
-                let candidate = word * 64 + rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let row = self.row(candidate);
-                let mut outranked = true;
-                for (v, &row_word) in row.iter().enumerate() {
-                    let mut need = requests[v];
-                    if v == word {
-                        need &= !candidate_bit;
-                    }
-                    if need & !row_word != 0 {
-                        outranked = false;
-                        break;
-                    }
-                }
-                if outranked {
-                    return Some(candidate);
-                }
-            }
-        }
-        None
+        grant_rows::<W>(&self.words, requests)
     }
 
     /// Commits an LRG update: `winner` drops to the lowest priority and
@@ -188,32 +155,7 @@ impl MatrixArbiter {
     #[inline]
     pub fn update(&mut self, winner: usize) {
         assert!(winner < self.n, "winner {winner} out of range");
-        let w = self.w;
-        if w == 1 {
-            // Single-word rows are contiguous, so the column sweep is a
-            // plain bounds-check-free pass the compiler vectorizes.
-            // Zeroing the winner's row afterwards both drops it below
-            // everybody and takes back the self-edge in one store. This
-            // is the path every arbiter with n <= 64 takes — all of
-            // them, for the radices the paper evaluates — and `update`
-            // runs twice per grant (local column + sub-block), so it is
-            // hot.
-            let mask = 1u64 << winner;
-            for row in &mut self.words {
-                *row |= mask;
-            }
-            self.words[winner] = 0;
-            return;
-        }
-        // The winner drops below everybody: zero its row…
-        self.words[winner * w..(winner + 1) * w].fill(0);
-        // …and set its bit in every row — then take back the self-edge.
-        let word = winner / 64;
-        let mask = 1u64 << (winner % 64);
-        for row in self.words.chunks_exact_mut(w) {
-            row[word] |= mask;
-        }
-        self.words[winner * w + word] &= !mask;
+        update_rows(&mut self.words, self.w, winner);
     }
 
     /// Current priority order, highest first. Intended for tests and
@@ -227,6 +169,170 @@ impl MatrixArbiter {
         });
         order
     }
+}
+
+/// `m` independent `n`-way LRG arbiters stored back to back in one
+/// word arena, for a switch that keeps one arbiter per column or per
+/// output: reaching arbiter `i` is one pointer hop from the bank, not
+/// one hop to a per-arbiter allocation. Each arbiter behaves exactly as
+/// a [`MatrixArbiter`] over the same requests.
+#[derive(Clone, Debug)]
+pub(crate) struct MatrixBank {
+    /// Arbiter `i`'s row-major matrix is `words[i * n * w..(i + 1) * n * w]`.
+    words: Vec<u64>,
+    /// Words per row, `ceil(n / 64)`.
+    w: usize,
+    n: usize,
+}
+
+impl MatrixBank {
+    /// `m` arbiters over `n` requestors, each in
+    /// [`MatrixArbiter::new`]'s initial order.
+    pub(crate) fn new(m: usize, n: usize) -> Self {
+        let fresh = MatrixArbiter::new(n);
+        Self {
+            words: fresh.words.repeat(m),
+            w: fresh.w,
+            n,
+        }
+    }
+
+    #[inline]
+    fn rows(&self, i: usize) -> &[u64] {
+        let span = self.n * self.w;
+        &self.words[i * span..(i + 1) * span]
+    }
+
+    /// [`MatrixArbiter::grant_mask`] on arbiter `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask capacity differs from the arbiter size.
+    pub(crate) fn grant_mask(&self, i: usize, requests: &BitSet) -> Option<usize> {
+        assert_eq!(requests.capacity(), self.n, "request mask size mismatch");
+        grant_mask_rows(self.rows(i), self.w, requests)
+    }
+
+    /// [`MatrixArbiter::grant_words`] on arbiter `i`.
+    #[inline]
+    pub(crate) fn grant_words<const W: usize>(
+        &self,
+        i: usize,
+        requests: &[u64; W],
+    ) -> Option<usize> {
+        debug_assert_eq!(W, self.w, "word count mismatch");
+        grant_rows::<W>(self.rows(i), requests)
+    }
+
+    /// [`MatrixArbiter::update`] on arbiter `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `winner` is out of range.
+    #[inline]
+    pub(crate) fn update(&mut self, i: usize, winner: usize) {
+        assert!(winner < self.n, "winner {winner} out of range");
+        let span = self.n * self.w;
+        update_rows(&mut self.words[i * span..(i + 1) * span], self.w, winner);
+    }
+
+    /// Replaces arbiter `i`'s priorities with [`MatrixArbiter::with_order`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of `0..n`.
+    pub(crate) fn seed(&mut self, i: usize, order: &[usize]) {
+        assert_eq!(order.len(), self.n, "order must rank every requestor");
+        let span = self.n * self.w;
+        self.words[i * span..(i + 1) * span]
+            .copy_from_slice(&MatrixArbiter::with_order(order).words);
+    }
+
+    /// A copy of arbiter `i` (for cross-checks against circuit models).
+    pub(crate) fn arbiter(&self, i: usize) -> MatrixArbiter {
+        MatrixArbiter {
+            words: self.rows(i).to_vec(),
+            w: self.w,
+            n: self.n,
+        }
+    }
+}
+
+/// [`MatrixArbiter::grant_mask`] over a row-major matrix `words` with
+/// `w` words per row (bit `j` of row `i` iff `i` outranks `j`).
+fn grant_mask_rows(words: &[u64], w: usize, requests: &BitSet) -> Option<usize> {
+    requests.iter().find(|&candidate| {
+        let row = &words[candidate * w..(candidate + 1) * w];
+        requests.words().iter().enumerate().all(|(v, &need)| {
+            let need = if v == candidate / 64 {
+                need & !(1u64 << (candidate % 64))
+            } else {
+                need
+            };
+            need & !row[v] == 0
+        })
+    })
+}
+
+/// [`MatrixArbiter::grant_words`] over a row-major matrix `words` with
+/// `W` words per row.
+#[inline]
+fn grant_rows<const W: usize>(words: &[u64], requests: &[u64; W]) -> Option<usize> {
+    for word in 0..W {
+        let mut rest = requests[word];
+        while rest != 0 {
+            let candidate_bit = rest & rest.wrapping_neg();
+            let candidate = word * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let row = &words[candidate * W..(candidate + 1) * W];
+            let mut outranked = true;
+            for (v, &row_word) in row.iter().enumerate() {
+                let mut need = requests[v];
+                if v == word {
+                    need &= !candidate_bit;
+                }
+                if need & !row_word != 0 {
+                    outranked = false;
+                    break;
+                }
+            }
+            if outranked {
+                return Some(candidate);
+            }
+        }
+    }
+    None
+}
+
+/// [`MatrixArbiter::update`] over a row-major matrix `words` with `w`
+/// words per row.
+#[inline]
+fn update_rows(words: &mut [u64], w: usize, winner: usize) {
+    if w == 1 {
+        // Single-word rows are contiguous, so the column sweep is a
+        // plain bounds-check-free pass the compiler vectorizes.
+        // Zeroing the winner's row afterwards both drops it below
+        // everybody and takes back the self-edge in one store. This
+        // is the path every arbiter with n <= 64 takes — all of
+        // them, for the radices the paper evaluates — and `update`
+        // runs twice per grant (local column + sub-block), so it is
+        // hot.
+        let mask = 1u64 << winner;
+        for row in words.iter_mut() {
+            *row |= mask;
+        }
+        words[winner] = 0;
+        return;
+    }
+    // The winner drops below everybody: zero its row…
+    words[winner * w..(winner + 1) * w].fill(0);
+    // …and set its bit in every row — then take back the self-edge.
+    let word = winner / 64;
+    let mask = 1u64 << (winner % 64);
+    for row in words.chunks_exact_mut(w) {
+        row[word] |= mask;
+    }
+    words[winner * w + word] &= !mask;
 }
 
 #[cfg(test)]
@@ -353,6 +459,37 @@ mod tests {
         }
         for (n, seed) in [(65, 7u64), (128, 8)] {
             check::<2>(n, 0xA5B1_7000 + seed);
+        }
+    }
+
+    /// A bank of arbiters, including a seeded one and one with
+    /// two-word rows, grants and updates exactly as standalone
+    /// arbiters do, and its arbiters never disturb each other.
+    #[test]
+    fn bank_arbiters_match_standalone_arbiters() {
+        use crate::rng::{Rng, SeedableRng, StdRng};
+        for n in [5, 65] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let mut bank = MatrixBank::new(3, n);
+            let mut solo: Vec<MatrixArbiter> = (0..3).map(|_| MatrixArbiter::new(n)).collect();
+            let order: Vec<usize> = (0..n).rev().collect();
+            bank.seed(1, &order);
+            solo[1] = MatrixArbiter::with_order(&order);
+            for _ in 0..300 {
+                let i = rng.gen_range(0..3);
+                let mut mask = BitSet::new(n);
+                for _ in 0..rng.gen_range(1..n + 1) {
+                    mask.insert(rng.gen_range(0..n));
+                }
+                let winner = solo[i].grant_mask(&mask);
+                assert_eq!(bank.grant_mask(i, &mask), winner, "n={n}");
+                let winner = winner.expect("non-empty mask");
+                bank.update(i, winner);
+                solo[i].update(winner);
+                for (j, arb) in solo.iter().enumerate() {
+                    assert_eq!(bank.arbiter(j).words, arb.words, "n={n} arbiter {j}");
+                }
+            }
         }
     }
 

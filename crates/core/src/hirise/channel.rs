@@ -5,18 +5,14 @@
 //! connection at a time; ownership is what makes the L2LCs a bandwidth
 //! bottleneck under inter-layer-heavy traffic (§VI-B's pathological case).
 
-use crate::ids::InputId;
-
-/// Busy/owner state for every L2LC of a switch, indexed by
-/// `(source layer, destination layer, channel)`.
+/// Busy state for every L2LC of a switch, indexed by
+/// `(source layer, destination layer, channel)`. The owning connection
+/// is recorded on the switch's connection table, not here.
 #[derive(Clone, Debug)]
 pub(crate) struct ChannelTable {
     layers: usize,
     multiplicity: usize,
-    owners: Vec<Option<InputId>>,
-    /// Bitmap mirror of `owners.is_some()`; the arbitration admission
-    /// loop probes busyness once per inter-layer request per cycle, and
-    /// a bit test on a hot word beats an `Option<InputId>` load.
+    /// One bit per channel, set while a connection holds it.
     busy: Vec<u64>,
 }
 
@@ -26,7 +22,6 @@ impl ChannelTable {
         Self {
             layers,
             multiplicity,
-            owners: vec![None; count],
             busy: vec![0; count.div_ceil(64).max(1)],
         }
     }
@@ -44,23 +39,21 @@ impl ChannelTable {
         self.busy[idx / 64] >> (idx % 64) & 1 == 1
     }
 
-    pub(crate) fn acquire(&mut self, src: usize, dst: usize, k: usize, owner: InputId) {
+    pub(crate) fn acquire(&mut self, src: usize, dst: usize, k: usize) {
+        debug_assert!(!self.is_busy(src, dst, k), "channel already owned");
         let idx = self.index(src, dst, k);
-        debug_assert!(self.owners[idx].is_none(), "channel already owned");
-        self.owners[idx] = Some(owner);
         self.busy[idx / 64] |= 1u64 << (idx % 64);
     }
 
     pub(crate) fn release(&mut self, src: usize, dst: usize, k: usize) {
+        debug_assert!(self.is_busy(src, dst, k), "releasing a free channel");
         let idx = self.index(src, dst, k);
-        debug_assert!(self.owners[idx].is_some(), "releasing a free channel");
-        self.owners[idx] = None;
         self.busy[idx / 64] &= !(1u64 << (idx % 64));
     }
 
     #[cfg(test)]
     pub(crate) fn busy_count(&self) -> usize {
-        self.owners.iter().filter(|o| o.is_some()).count()
+        self.busy.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -91,7 +84,7 @@ mod tests {
     fn acquire_release_cycle() {
         let mut table = ChannelTable::new(3, 2);
         assert!(!table.is_busy(0, 2, 1));
-        table.acquire(0, 2, 1, InputId::new(5));
+        table.acquire(0, 2, 1);
         assert!(table.is_busy(0, 2, 1));
         assert!(!table.is_busy(2, 0, 1)); // direction matters
         assert_eq!(table.busy_count(), 1);

@@ -8,7 +8,7 @@
 //! priority-select muxes and a 13-bit LRG).
 
 use crate::arbiter::clrg::ClrgState;
-use crate::arbiter::matrix::MatrixArbiter;
+use crate::arbiter::matrix::MatrixBank;
 use crate::arbiter::wlrg::WlrgState;
 use crate::arbiter::ArbitrationScheme;
 use crate::bits::BitSet;
@@ -26,12 +26,35 @@ pub(crate) struct Contender {
     pub weight: u32,
 }
 
-/// One inter-layer sub-block with its arbitration state.
+/// Per-output state of the inter-layer scheme beyond the slot LRG.
 #[derive(Clone, Debug)]
-pub(crate) struct SubBlock {
-    lrg: MatrixArbiter,
-    wlrg: Option<WlrgState>,
-    clrg: Option<ClrgState>,
+enum SchemeState {
+    /// Baseline layer-to-layer LRG: the slot LRG alone.
+    Baseline,
+    /// Weighted LRG credits, one per output.
+    Weighted(Vec<WlrgState>),
+    /// Class-based LRG counters, one per output.
+    ClassBased(Vec<ClrgState>),
+}
+
+impl SchemeState {
+    /// `output`'s CLRG state, if running CLRG.
+    fn clrg(&self, output: usize) -> Option<&ClrgState> {
+        match self {
+            SchemeState::ClassBased(states) => Some(&states[output]),
+            _ => None,
+        }
+    }
+}
+
+/// The inter-layer sub-blocks of every output, with their arbitration
+/// state. Every sub-block's slot-level LRG sits in one bank, so a
+/// grant's update is one pointer hop from the switch.
+#[derive(Clone, Debug)]
+pub(crate) struct SubBlocks {
+    /// Slot-level LRG per output.
+    lrg: MatrixBank,
+    scheme: SchemeState,
     /// Cross-check every decision against the signal-level circuit
     /// model of `crate::xpoint` (debug aid; see
     /// [`HiRiseSwitch::enable_signal_validation`](crate::HiRiseSwitch::enable_signal_validation)).
@@ -41,21 +64,27 @@ pub(crate) struct SubBlock {
     mask: BitSet,
 }
 
-impl SubBlock {
-    /// Creates a sub-block with `slots` contender slots over a switch of
-    /// `radix` primary inputs, using `scheme`.
-    pub(crate) fn new(slots: usize, radix: usize, scheme: ArbitrationScheme) -> Self {
-        let (wlrg, clrg) = match scheme {
-            ArbitrationScheme::LayerToLayerLrg => (None, None),
-            ArbitrationScheme::WeightedLrg => (Some(WlrgState::new(slots)), None),
+impl SubBlocks {
+    /// Creates `outputs` sub-blocks with `slots` contender slots each
+    /// over a switch of `radix` primary inputs, using `scheme`.
+    pub(crate) fn new(
+        outputs: usize,
+        slots: usize,
+        radix: usize,
+        scheme: ArbitrationScheme,
+    ) -> Self {
+        let scheme = match scheme {
+            ArbitrationScheme::LayerToLayerLrg => SchemeState::Baseline,
+            ArbitrationScheme::WeightedLrg => {
+                SchemeState::Weighted(vec![WlrgState::new(slots); outputs])
+            }
             ArbitrationScheme::ClassBased { classes } => {
-                (None, Some(ClrgState::new(radix, classes)))
+                SchemeState::ClassBased(vec![ClrgState::new(radix, classes); outputs])
             }
         };
         Self {
-            lrg: MatrixArbiter::new(slots),
-            wlrg,
-            clrg,
+            lrg: MatrixBank::new(outputs, slots),
+            scheme,
             validate_signals: false,
             mask: BitSet::new(slots),
         }
@@ -66,15 +95,16 @@ impl SubBlock {
         self.validate_signals = true;
     }
 
-    /// Runs one sub-block arbitration cycle, commits the scheme's state
-    /// updates, and returns the index into `contenders` of the winner.
+    /// Runs one arbitration cycle of `output`'s sub-block, commits the
+    /// scheme's state updates, and returns the index into `contenders`
+    /// of the winner.
     ///
     /// Returns `None` for an empty contender set.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if two contenders share a slot.
-    pub(crate) fn arbitrate(&mut self, contenders: &[Contender]) -> Option<usize> {
+    pub(crate) fn arbitrate(&mut self, output: usize, contenders: &[Contender]) -> Option<usize> {
         if contenders.is_empty() {
             return None;
         }
@@ -95,7 +125,7 @@ impl SubBlock {
 
         // Build the candidate-slot mask in the reused scratch set.
         self.mask.clear();
-        if let Some(clrg) = &self.clrg {
+        if let Some(clrg) = self.scheme.clrg(output) {
             // Class-based LRG: best (lowest-count) class wins; LRG breaks
             // ties within that class. The slot-level LRG is updated every
             // cycle even when the class decided the winner (Fig. 5,
@@ -118,9 +148,9 @@ impl SubBlock {
         }
         let slot = self
             .lrg
-            .grant_mask(&self.mask)
+            .grant_mask(output, &self.mask)
             .expect("non-empty candidate set");
-        Some(self.finish(contenders, slot))
+        Some(self.finish(output, contenders, slot))
     }
 
     /// As [`arbitrate`](Self::arbitrate), but carrying the candidate-slot
@@ -128,7 +158,11 @@ impl SubBlock {
     /// caller guarantees the sub-block has at most 64 slots (checked at
     /// kernel resolution; see [`crate::kernel::KernelSel`]). Decisions
     /// and state updates are bit-identical to the scalar path.
-    pub(crate) fn arbitrate_word(&mut self, contenders: &[Contender]) -> Option<usize> {
+    pub(crate) fn arbitrate_word(
+        &mut self,
+        output: usize,
+        contenders: &[Contender],
+    ) -> Option<usize> {
         if contenders.is_empty() {
             return None;
         }
@@ -150,11 +184,11 @@ impl SubBlock {
             // the mask build and the matrix scan. `finish` still applies
             // the exact same priority updates (and, under
             // `validate_signals`, the same circuit cross-check).
-            return Some(self.finish(contenders, contenders[0].slot));
+            return Some(self.finish(output, contenders, contenders[0].slot));
         }
 
         let mut mask = 0u64;
-        if let Some(clrg) = &self.clrg {
+        if let Some(clrg) = self.scheme.clrg(output) {
             let best = contenders
                 .iter()
                 .map(|c| clrg.class_of(c.input.index()))
@@ -172,30 +206,29 @@ impl SubBlock {
         }
         let slot = self
             .lrg
-            .grant_words::<1>(&[mask])
+            .grant_words::<1>(output, &[mask])
             .expect("non-empty candidate set");
-        Some(self.finish(contenders, slot))
+        Some(self.finish(output, contenders, slot))
     }
 
     /// Shared tail of both arbitration paths: map the winning slot back
     /// to its contender, optionally cross-check the circuit model, and
     /// commit the scheme's state updates.
-    fn finish(&mut self, contenders: &[Contender], slot: usize) -> usize {
+    fn finish(&mut self, output: usize, contenders: &[Contender], slot: usize) -> usize {
         let winner_index = contenders.iter().position(|c| c.slot == slot).unwrap();
 
         if self.validate_signals {
+            let clrg = self.scheme.clrg(output);
             let classed: Vec<crate::xpoint::ClassedContender> = contenders
                 .iter()
                 .map(|c| crate::xpoint::ClassedContender {
                     slot: c.slot,
-                    class: self
-                        .clrg
-                        .as_ref()
-                        .map_or(0, |clrg| clrg.class_of(c.input.index())),
+                    class: clrg.map_or(0, |clrg| clrg.class_of(c.input.index())),
                 })
                 .collect();
-            let classes = self.clrg.as_ref().map_or(1, ClrgState::classes).max(1);
-            let circuit = crate::xpoint::arbitrate_clrg_column(&classed, &self.lrg, classes);
+            let classes = clrg.map_or(1, ClrgState::classes).max(1);
+            let lrg = self.lrg.arbiter(output);
+            let circuit = crate::xpoint::arbitrate_clrg_column(&classed, &lrg, classes);
             assert_eq!(
                 circuit,
                 Some(winner_index),
@@ -204,35 +237,38 @@ impl SubBlock {
         }
 
         let winner = contenders[winner_index];
-        match (&mut self.wlrg, &mut self.clrg) {
-            (Some(wlrg), _) => {
-                // WLRG holds the winner's LRG priority until its weight
-                // credit is spent (§III-B3).
-                if wlrg.record_win(winner.slot, winner.weight) {
-                    self.lrg.update(winner.slot);
-                }
+        let update = match &mut self.scheme {
+            // WLRG holds the winner's LRG priority until its weight
+            // credit is spent (§III-B3).
+            SchemeState::Weighted(states) => states[output].record_win(winner.slot, winner.weight),
+            SchemeState::ClassBased(states) => {
+                states[output].record_win(winner.input.index());
+                true
             }
-            (None, Some(clrg)) => {
-                self.lrg.update(winner.slot);
-                clrg.record_win(winner.input.index());
-            }
-            (None, None) => {
-                // Baseline: "its priority is updated after every
-                // arbitration cycle" (§III-B1).
-                self.lrg.update(winner.slot);
-            }
+            // Baseline: "its priority is updated after every arbitration
+            // cycle" (§III-B1).
+            SchemeState::Baseline => true,
+        };
+        if update {
+            self.lrg.update(output, winner.slot);
         }
         winner_index
     }
 
-    /// The CLRG class of `input` at this sub-block, if running CLRG.
-    pub(crate) fn clrg_class(&self, input: InputId) -> Option<u8> {
-        self.clrg.as_ref().map(|c| c.class_of(input.index()))
+    /// The CLRG class of `input` at `output`'s sub-block, if running
+    /// CLRG.
+    pub(crate) fn clrg_class(&self, output: usize, input: InputId) -> Option<u8> {
+        self.scheme.clrg(output).map(|c| c.class_of(input.index()))
     }
 
-    /// Replaces the slot-level LRG order (tests and worked examples).
-    pub(crate) fn seed_priority(&mut self, order: &[usize]) {
-        self.lrg = MatrixArbiter::with_order(order);
+    /// Replaces `output`'s slot-level LRG order (tests and worked
+    /// examples).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of the slots.
+    pub(crate) fn seed_priority(&mut self, output: usize, order: &[usize]) {
+        self.lrg.seed(output, order);
     }
 }
 
@@ -250,31 +286,31 @@ mod tests {
 
     #[test]
     fn baseline_uses_pure_slot_lrg() {
-        let mut sb = SubBlock::new(4, 64, ArbitrationScheme::LayerToLayerLrg);
+        let mut sb = SubBlocks::new(1, 4, 64, ArbitrationScheme::LayerToLayerLrg);
         // Slot 0 wins, then drops behind slot 1.
         let cs = [contender(0, 10), contender(1, 20)];
-        assert_eq!(sb.arbitrate(&cs), Some(0));
-        assert_eq!(sb.arbitrate(&cs), Some(1));
-        assert_eq!(sb.arbitrate(&cs), Some(0));
+        assert_eq!(sb.arbitrate(0, &cs), Some(0));
+        assert_eq!(sb.arbitrate(0, &cs), Some(1));
+        assert_eq!(sb.arbitrate(0, &cs), Some(0));
     }
 
     #[test]
     fn clrg_class_overrides_lrg() {
-        let mut sb = SubBlock::new(4, 64, ArbitrationScheme::class_based());
+        let mut sb = SubBlocks::new(1, 4, 64, ArbitrationScheme::class_based());
         let a = contender(0, 10);
         let b = contender(1, 20);
         // First win goes to slot 0 (LRG tie-break in class P0); input 10
         // moves to class P1, so input 20 must win next even though slot 0
         // may outrank slot 1.
-        assert_eq!(sb.arbitrate(&[a, b]), Some(0));
-        assert_eq!(sb.clrg_class(InputId::new(10)), Some(1));
-        assert_eq!(sb.arbitrate(&[a, b]), Some(1));
-        assert_eq!(sb.clrg_class(InputId::new(20)), Some(1));
+        assert_eq!(sb.arbitrate(0, &[a, b]), Some(0));
+        assert_eq!(sb.clrg_class(0, InputId::new(10)), Some(1));
+        assert_eq!(sb.arbitrate(0, &[a, b]), Some(1));
+        assert_eq!(sb.clrg_class(0, InputId::new(20)), Some(1));
     }
 
     #[test]
     fn wlrg_holds_priority_for_weighted_winners() {
-        let mut sb = SubBlock::new(2, 64, ArbitrationScheme::WeightedLrg);
+        let mut sb = SubBlocks::new(1, 2, 64, ArbitrationScheme::WeightedLrg);
         // Slot 0 carries 2 requestors; it should win twice before slot 1
         // gets a turn.
         let heavy = Contender {
@@ -283,9 +319,9 @@ mod tests {
             weight: 2,
         };
         let light = contender(1, 20);
-        assert_eq!(sb.arbitrate(&[heavy, light]), Some(0));
-        assert_eq!(sb.arbitrate(&[heavy, light]), Some(0));
-        assert_eq!(sb.arbitrate(&[heavy, light]), Some(1));
+        assert_eq!(sb.arbitrate(0, &[heavy, light]), Some(0));
+        assert_eq!(sb.arbitrate(0, &[heavy, light]), Some(0));
+        assert_eq!(sb.arbitrate(0, &[heavy, light]), Some(1));
     }
 
     #[test]
@@ -295,8 +331,8 @@ mod tests {
             ArbitrationScheme::WeightedLrg,
             ArbitrationScheme::class_based(),
         ] {
-            let mut scalar = SubBlock::new(13, 64, scheme);
-            let mut word = SubBlock::new(13, 64, scheme);
+            let mut scalar = SubBlocks::new(1, 13, 64, scheme);
+            let mut word = SubBlocks::new(1, 13, 64, scheme);
             let mut state = 0xABCD_1234u64;
             let mut next = move || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -314,8 +350,8 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    scalar.arbitrate(&contenders),
-                    word.arbitrate_word(&contenders),
+                    scalar.arbitrate(0, &contenders),
+                    word.arbitrate_word(0, &contenders),
                     "{scheme:?} step {step}"
                 );
             }
@@ -324,18 +360,18 @@ mod tests {
 
     #[test]
     fn empty_contenders_yield_none() {
-        let mut sb = SubBlock::new(4, 64, ArbitrationScheme::class_based());
-        assert_eq!(sb.arbitrate(&[]), None);
+        let mut sb = SubBlocks::new(1, 4, 64, ArbitrationScheme::class_based());
+        assert_eq!(sb.arbitrate(0, &[]), None);
     }
 
     #[test]
     fn single_contender_always_wins() {
-        let mut sb = SubBlock::new(13, 64, ArbitrationScheme::class_based());
+        let mut sb = SubBlocks::new(1, 13, 64, ArbitrationScheme::class_based());
         for _ in 0..5 {
-            assert_eq!(sb.arbitrate(&[contender(7, 42)]), Some(0));
+            assert_eq!(sb.arbitrate(0, &[contender(7, 42)]), Some(0));
         }
         // Its class keeps degrading, halving on saturation.
-        let class = sb.clrg_class(InputId::new(42)).unwrap();
+        let class = sb.clrg_class(0, InputId::new(42)).unwrap();
         assert!(class >= 1);
     }
 }

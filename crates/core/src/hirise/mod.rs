@@ -20,6 +20,29 @@
 //! [`released`](crate::Fabric::release). Local-switch priorities update
 //! only on a final win (back-propagation, §III-B1), which guarantees
 //! every persistent requestor eventually rises to the top and is served.
+//!
+//! # Direct grant
+//!
+//! The word kernel grants a request set without phase-1 election when,
+//! after admission, no two requests share a local column, a priority
+//! pool or a final output. The result is grant-identical to the full
+//! pipeline, because:
+//!
+//! - election is read-only, and any column arbiter grants a lone
+//!   requestor, with weight 1;
+//! - a pool's lone request takes the first free live channel, as the
+//!   pool loop would;
+//! - each winner is the only contender at its sub-block, so it wins
+//!   whatever the priority state, and the scheme's update for that win
+//!   is applied as in the pipeline;
+//! - winners commit in the pipeline's emission order (binned columns by
+//!   flat index, then pools by `(src, dst)`).
+//!
+//! On the first shared column, pool or output the pipeline runs as
+//! usual: nothing has been mutated yet. The scalar kernel always runs
+//! the full pipeline and is the grant-exact reference the twin tests
+//! compare against. Mesh and dragonfly routers, which see one or two
+//! requests per call, take the direct grant on most calls.
 
 mod channel;
 mod interlayer;
@@ -33,7 +56,7 @@ use crate::fault::{Fault, FaultLog, FaultState, TsvMap};
 use crate::ids::{ChannelId, InputId, LayerId, OutputId};
 use crate::kernel::{ArbiterKernel, KernelSel};
 use channel::ChannelTable;
-use interlayer::{Contender, SubBlock};
+use interlayer::{Contender, SubBlocks};
 use local::LocalSwitch;
 
 /// The local resource a connection holds on its source layer.
@@ -77,24 +100,49 @@ enum ColumnKind {
     Channel { compressed_dst: usize, k: usize },
 }
 
+/// Where the word kernel holds an admitted request until phase-1
+/// election.
+#[derive(Clone, Copy, Debug)]
+enum Bin {
+    /// A statically-bound local column, as the flat index
+    /// `layer * columns + column`.
+    Column(usize),
+    /// The priority-based allocation pool of layer pair
+    /// `src * layers + dst`.
+    Pool(usize),
+}
+
+/// Clears the one set bit of a request mask that holds exactly one
+/// request and returns its local input index.
+fn take_lone(words: &mut [u64]) -> usize {
+    let (index, word) = words
+        .iter_mut()
+        .enumerate()
+        .find(|(_, word)| **word != 0)
+        .expect("one request in the mask");
+    debug_assert_eq!(word.count_ones(), 1, "mask holds one request");
+    let local = index * 64 + word.trailing_zeros() as usize;
+    *word = 0;
+    local
+}
+
 /// Precomputed index-decode tables for the word kernel. The admission
 /// loop runs per request per cycle; these tables replace the `/ % `
 /// arithmetic of the `HiRiseConfig` helpers (runtime-divisor divisions)
 /// with single loads.
 #[derive(Clone, Debug)]
 struct Decode {
-    /// `(layer, local index)` per global input.
-    input: Vec<(u16, u16)>,
-    /// `(layer, local index)` per global output.
-    output: Vec<(u16, u16)>,
+    /// Ports per layer, `N/L` (a division in `HiRiseConfig`).
+    ports: usize,
+    /// `(layer, local index, bound channel)` per port index. Inputs and
+    /// outputs split over the layers alike, and the input- and
+    /// output-binned policies bind local index `j` to channel `j % c`
+    /// alike, so one table serves both sides.
+    port: Vec<(u16, u16, u16)>,
     /// Flat column index (`layer * cols + column`) -> `(layer, column)`.
     col: Vec<(u16, u16)>,
     /// Channel allocation policy, hoisted out of the request loop.
     allocation: crate::config::ChannelAllocation,
-    /// Statically-bound channel per input (input-binned policy).
-    in_k: Vec<u16>,
-    /// Statically-bound channel per output (output-binned policy).
-    out_k: Vec<u16>,
 }
 
 impl Decode {
@@ -102,16 +150,21 @@ impl Decode {
         let p = cfg.ports_per_layer();
         let c = cfg.channel_multiplicity();
         let cols = p + cfg.channels_per_layer();
-        let split = |index: usize| ((index / p) as u16, (index % p) as u16);
         Self {
-            input: (0..cfg.radix()).map(split).collect(),
-            output: (0..cfg.radix()).map(split).collect(),
+            ports: p,
+            port: (0..cfg.radix())
+                .map(|index| {
+                    (
+                        (index / p) as u16,
+                        (index % p) as u16,
+                        (index % p % c) as u16,
+                    )
+                })
+                .collect(),
             col: (0..cfg.layers() * cols)
                 .map(|flat| ((flat / cols) as u16, (flat % cols) as u16))
                 .collect(),
             allocation: cfg.allocation(),
-            in_k: (0..cfg.radix()).map(|i| ((i % p) % c) as u16).collect(),
-            out_k: (0..cfg.radix()).map(|o| ((o % p) % c) as u16).collect(),
         }
     }
 }
@@ -122,13 +175,12 @@ impl Decode {
 /// cycles every inner vector has reached its steady-state capacity and
 /// an arbitration cycle performs zero heap allocations.
 ///
-/// `Default` is allocation-free (empty vectors, zero-capacity mask), so
-/// [`std::mem::take`] can move the scratch out of the switch for the
-/// duration of a cycle without touching the allocator.
-#[derive(Clone, Debug, Default)]
+/// The switch keeps it boxed, so detaching it for the duration of a
+/// call moves one pointer rather than copying every arena header.
+#[derive(Clone, Debug)]
 struct ArbScratch {
-    /// Per-input duplicate-request filter.
-    seen: Vec<bool>,
+    /// Per-input duplicate-request filter, one bit per input.
+    seen: Vec<u64>,
     /// `layer * columns + column` -> statically-binned admitted requests.
     column_reqs: Vec<Vec<ColumnRequest>>,
     /// `src * layers + dst` -> priority-based allocation pools.
@@ -156,7 +208,8 @@ struct ArbScratch {
     /// cycle, indexed by global input (valid only for set mask bits).
     dest: Vec<u32>,
     /// Word-kernel arena: bitmap over outputs, used to detect whether
-    /// any two phase-1 winners share a final output this cycle.
+    /// any two admitted requests, and then any two phase-1 winners,
+    /// share a final output this cycle.
     out_bits: Vec<u64>,
 }
 
@@ -168,7 +221,7 @@ impl ArbScratch {
         // scalar kernel simply never touches them (a few hundred bytes).
         let w = cfg.ports_per_layer().div_ceil(64).max(1);
         Self {
-            seen: vec![false; cfg.radix()],
+            seen: vec![0; cfg.radix().div_ceil(64)],
             column_reqs: vec![Vec::new(); l * cols],
             pools: vec![Vec::new(); l * l],
             winners: Vec::new(),
@@ -184,7 +237,9 @@ impl ArbScratch {
         }
     }
 
-    /// Empties the arenas both kernels share while keeping capacity.
+    /// Empties the election and phase-2 lists while keeping capacity.
+    /// Both kernels call it before their election; the word kernel's
+    /// direct grant never touches these lists.
     ///
     /// `col_masks`/`touched_cols`/`pool_masks` are clear-on-consume:
     /// the word-kernel loops zero every bit they set within the same
@@ -193,7 +248,6 @@ impl ArbScratch {
     /// (see [`reset_scalar_bins`](Self::reset_scalar_bins)). `dest`
     /// holds stale values by design (read only for set mask bits).
     fn reset(&mut self) {
-        self.seen.fill(false);
         self.winners.clear();
         self.touched_outputs.clear();
         self.contenders.clear();
@@ -220,16 +274,15 @@ impl ArbScratch {
 #[derive(Clone, Debug)]
 pub struct HiRiseSwitch {
     cfg: HiRiseConfig,
-    locals: Vec<LocalSwitch>,
-    subblocks: Vec<SubBlock>,
+    local: LocalSwitch,
+    subblocks: SubBlocks,
     channels: ChannelTable,
     connections: Vec<Option<Path>>,
-    output_owner: Vec<Option<InputId>>,
     /// Bitmap mirror of `connections.is_some()`, so the per-request
     /// admission check is one bit test instead of an `Option<Path>`
     /// load.
     connected: Vec<u64>,
-    /// Bitmap mirror of `output_owner.is_some()` for the phase-2 skip.
+    /// One bit per output, set while a connection holds it.
     owned: Vec<u64>,
     column_kinds: Vec<ColumnKind>,
     /// Grants that travelled over each L2LC (flat channel index).
@@ -237,13 +290,16 @@ pub struct HiRiseSwitch {
     /// Grants that used the local intermediate path, per layer.
     local_grants: Vec<u64>,
     /// Per-cycle arbitration scratch, reused across calls.
-    scratch: ArbScratch,
+    scratch: Option<Box<ArbScratch>>,
     /// Resolved arbitration kernel (see [`ArbiterKernel`]).
     kernel: KernelSel,
     /// Index-decode tables for the word kernel's admission loop.
     decode: Decode,
     /// Fault-injection state; `None` until faults are enabled.
     faults: Option<FaultState>,
+    /// Grants made by the word kernel's direct path.
+    #[cfg(test)]
+    direct_grants: u64,
 }
 
 impl HiRiseSwitch {
@@ -266,12 +322,13 @@ impl HiRiseSwitch {
         let p = cfg.ports_per_layer();
         let l = cfg.layers();
         let c = cfg.channel_multiplicity();
-        let locals = (0..l)
-            .map(|_| LocalSwitch::new(cfg.local_arbiter(), p, c * (l - 1), c))
-            .collect();
-        let subblocks = (0..cfg.radix())
-            .map(|_| SubBlock::new(cfg.subblock_inputs(), cfg.radix(), cfg.scheme()))
-            .collect();
+        let local = LocalSwitch::new(cfg.local_arbiter(), l, p, c * (l - 1), c);
+        let subblocks = SubBlocks::new(
+            cfg.radix(),
+            cfg.subblock_inputs(),
+            cfg.radix(),
+            cfg.scheme(),
+        );
         let mut column_kinds = Vec::with_capacity(p + c * (l - 1));
         for _ in 0..p {
             column_kinds.push(ColumnKind::Intermediate);
@@ -291,20 +348,21 @@ impl HiRiseSwitch {
         };
         Self {
             cfg: cfg.clone(),
-            locals,
+            local,
             subblocks,
             channels: ChannelTable::new(l, c),
             connections: vec![None; cfg.radix()],
-            output_owner: vec![None; cfg.radix()],
             connected: vec![0; cfg.radix().div_ceil(64)],
             owned: vec![0; cfg.radix().div_ceil(64)],
             column_kinds,
             channel_grants: vec![0; l * (l - 1) * c],
             local_grants: vec![0; l],
-            scratch: ArbScratch::new(cfg),
+            scratch: Some(Box::new(ArbScratch::new(cfg))),
             kernel: sel,
             decode: Decode::new(cfg),
             faults: None,
+            #[cfg(test)]
+            direct_grants: 0,
         }
     }
 
@@ -362,7 +420,7 @@ impl HiRiseSwitch {
     /// Panics if either id is out of range.
     pub fn clrg_class(&self, output: OutputId, input: InputId) -> Option<u8> {
         assert!(input.index() < self.cfg.radix(), "input out of range");
-        self.subblocks[output.index()].clrg_class(input)
+        self.subblocks.clrg_class(output.index(), input)
     }
 
     /// Seeds the LRG order of the local-switch column feeding channel `k`
@@ -393,8 +451,9 @@ impl HiRiseSwitch {
         } else {
             dst.index() - 1
         };
-        let column = self.locals[src.index()].channel_column(compressed_dst, k.index());
-        self.locals[src.index()].seed_column(column, order)
+        let column = self.local.channel_column(compressed_dst, k.index());
+        self.local
+            .seed_column(self.local.flat(src.index(), column), order)
     }
 
     /// Seeds the LRG order of the local-switch column feeding the
@@ -414,9 +473,11 @@ impl HiRiseSwitch {
         order: &[usize],
     ) -> Result<(), ConfigError> {
         let layer = self.cfg.layer_of_output(output);
-        let column =
-            self.locals[layer.index()].intermediate_column(self.cfg.local_output_index(output));
-        self.locals[layer.index()].seed_column(column, order)
+        let column = self
+            .local
+            .intermediate_column(self.cfg.local_output_index(output));
+        self.local
+            .seed_column(self.local.flat(layer.index(), column), order)
     }
 
     /// Seeds the slot-level LRG order of `output`'s sub-block, highest
@@ -426,7 +487,7 @@ impl HiRiseSwitch {
     ///
     /// Panics if `output` is out of range or `order` is not a permutation.
     pub fn seed_subblock_priority(&mut self, output: OutputId, order: &[usize]) {
-        self.subblocks[output.index()].seed_priority(order);
+        self.subblocks.seed_priority(output.index(), order);
     }
 
     /// Grants that have travelled over L2LC `k` from `src` to `dst`
@@ -479,17 +540,7 @@ impl HiRiseSwitch {
     /// agree with the behavioural arbiter. A debugging and verification
     /// aid; it roughly doubles arbitration cost.
     pub fn enable_signal_validation(&mut self) {
-        for subblock in &mut self.subblocks {
-            subblock.enable_signal_validation();
-        }
-    }
-
-    fn column_count(&self) -> usize {
-        debug_assert_eq!(
-            self.locals[0].column_count(),
-            self.cfg.ports_per_layer() + self.cfg.channels_per_layer()
-        );
-        self.cfg.ports_per_layer() + self.cfg.channels_per_layer()
+        self.subblocks.enable_signal_validation();
     }
 
     fn dst_of_compressed(&self, src: usize, compressed_dst: usize) -> usize {
@@ -520,7 +571,7 @@ impl HiRiseSwitch {
     fn phase1(&self, requests: &[Request], scratch: &mut ArbScratch) {
         let l = self.cfg.layers();
         let c = self.cfg.channel_multiplicity();
-        let cols = self.column_count();
+        let cols = self.local.column_count();
 
         for request in requests {
             let input = request.input;
@@ -533,8 +584,10 @@ impl HiRiseSwitch {
                 output.index() < self.cfg.radix(),
                 "output {output} out of range"
             );
-            if scratch.seen[input.index()]
-                || self.connected[input.index() / 64] >> (input.index() % 64) & 1 == 1
+            if (scratch.seen[input.index() / 64] | self.connected[input.index() / 64])
+                >> (input.index() % 64)
+                & 1
+                == 1
             {
                 continue;
             }
@@ -545,7 +598,7 @@ impl HiRiseSwitch {
                     continue; // dead port or crosspoint: request is masked out
                 }
             }
-            scratch.seen[input.index()] = true;
+            scratch.seen[input.index() / 64] |= 1u64 << (input.index() % 64);
             let src = self.cfg.layer_of_input(input).index();
             let dst = self.cfg.layer_of_output(output).index();
             let col_req = ColumnRequest {
@@ -554,8 +607,9 @@ impl HiRiseSwitch {
                 output,
             };
             if src == dst {
-                let column =
-                    self.locals[src].intermediate_column(self.cfg.local_output_index(output));
+                let column = self
+                    .local
+                    .intermediate_column(self.cfg.local_output_index(output));
                 scratch.column_reqs[src * cols + column].push(col_req);
             } else {
                 match self.cfg.bound_channel(input, output) {
@@ -569,7 +623,7 @@ impl HiRiseSwitch {
                             continue; // channel held by a transfer; retry later
                         }
                         let compressed_dst = if dst < src { dst } else { dst - 1 };
-                        let column = self.locals[src].channel_column(compressed_dst, k);
+                        let column = self.local.channel_column(compressed_dst, k);
                         scratch.column_reqs[src * cols + column].push(col_req);
                     }
                     None => scratch.pools[src * l + dst].push(col_req),
@@ -588,27 +642,20 @@ impl HiRiseSwitch {
                 for request in list {
                     scratch.local_mask.insert(request.local_input);
                 }
-                let winner_local = self.locals[layer]
-                    .grant_mask(column, &scratch.local_mask)
+                let winner_local = self
+                    .local
+                    .grant_mask(layer * cols + column, &scratch.local_mask)
                     .expect("non-empty request set");
                 let request = *list
                     .iter()
                     .find(|r| r.local_input == winner_local)
                     .expect("winner comes from the request list");
-                let resource = match self.column_kinds[column] {
-                    ColumnKind::Intermediate => PathResource::Intermediate,
-                    ColumnKind::Channel { compressed_dst, k } => PathResource::Channel {
-                        src: layer,
-                        dst: self.dst_of_compressed(layer, compressed_dst),
-                        k,
-                    },
-                };
                 scratch.winners.push(Phase1Winner {
                     layer,
                     column,
                     request,
                     weight: list.len() as u32,
-                    resource,
+                    resource: self.column_resource(layer, column),
                 });
             }
         }
@@ -630,21 +677,17 @@ impl HiRiseSwitch {
                     if pool.is_empty() {
                         break;
                     }
-                    if self.channels.is_busy(src, dst, k) {
-                        continue;
+                    if !self.pool_channel_open(src, dst, k) {
+                        continue; // busy or dead L2LC: later channels absorb
                     }
-                    if let Some(faults) = &self.faults {
-                        if faults.tsv_down(self.channels.index(src, dst, k)) {
-                            continue; // dead L2LC: skip it, later channels absorb
-                        }
-                    }
-                    let column = self.locals[src].channel_column(compressed_dst, k);
+                    let column = self.local.channel_column(compressed_dst, k);
                     scratch.local_mask.clear();
                     for request in pool.iter() {
                         scratch.local_mask.insert(request.local_input);
                     }
-                    let winner_local = self.locals[src]
-                        .grant_mask(column, &scratch.local_mask)
+                    let winner_local = self
+                        .local
+                        .grant_mask(src * cols + column, &scratch.local_mask)
                         .expect("non-empty pool");
                     let pos = pool
                         .iter()
@@ -664,6 +707,77 @@ impl HiRiseSwitch {
         }
     }
 
+    /// Word-kernel admission of one request: the checks every request
+    /// passes before it can contend in a local column or priority pool.
+    /// Returns the request's bin and local input index, or `None` when
+    /// the request loses before phase-1 election. Marks the input seen
+    /// and records its output in `scratch.dest`.
+    #[inline]
+    fn admit(&self, request: &Request, scratch: &mut ArbScratch) -> Option<(Bin, usize)> {
+        let input = request.input;
+        let output = request.output;
+        assert!(
+            input.index() < self.cfg.radix(),
+            "input {input} out of range"
+        );
+        assert!(
+            output.index() < self.cfg.radix(),
+            "output {output} out of range"
+        );
+        if (scratch.seen[input.index() / 64] | self.connected[input.index() / 64])
+            >> (input.index() % 64)
+            & 1
+            == 1
+        {
+            return None;
+        }
+        if let Some(faults) = &self.faults {
+            if faults.input_down(input.index()) || faults.xpoint_down(input.index(), output.index())
+            {
+                return None; // dead port or crosspoint: request is masked out
+            }
+        }
+        scratch.seen[input.index() / 64] |= 1u64 << (input.index() % 64);
+        let (src, local, in_k) = self.decode.port[input.index()];
+        let (src, local) = (src as usize, local as usize);
+        let (dst, out_local, out_k) = self.decode.port[output.index()];
+        let (dst, out_local) = (dst as usize, out_local as usize);
+        scratch.dest[input.index()] = output.index() as u32;
+        let cols = self.local.column_count();
+        if src == dst {
+            // An intermediate column is 1:1 with its output, so every
+            // request binned here contends for `output` alone. If the
+            // output is still mid-transfer the whole column loses in
+            // phase 2 with no state updates, so dropping the request
+            // now is exact — and it skips the column election for the
+            // common head-of-line-blocked case, where a stalled VC
+            // re-requests the same busy output every cycle.
+            if self.owned[output.index() / 64] >> (output.index() % 64) & 1 == 1 {
+                return None;
+            }
+            // Intermediate column index == the output's local index.
+            return Some((Bin::Column(src * cols + out_local), local));
+        }
+        use crate::config::ChannelAllocation;
+        let k = match self.decode.allocation {
+            ChannelAllocation::InputBinned => in_k as usize,
+            ChannelAllocation::OutputBinned => out_k as usize,
+            ChannelAllocation::PriorityBased => {
+                return Some((Bin::Pool(src * self.cfg.layers() + dst), local));
+            }
+        };
+        // Graceful degradation: if the bound L2LC is dead, re-bin onto
+        // the next live channel of the pair.
+        let k = self.usable_channel(src, dst, k)?; // every channel of the pair is down
+        if self.channels.is_busy(src, dst, k) {
+            return None; // channel held by a transfer; retry later
+        }
+        let compressed_dst = if dst < src { dst } else { dst - 1 };
+        // channel_column(compressed_dst, k) without the call.
+        let column = self.decode.ports + compressed_dst * self.cfg.channel_multiplicity() + k;
+        Some((Bin::Column(src * cols + column), local))
+    }
+
     /// Word-parallel phase 1: the same admission → bin → arbitrate
     /// pipeline as [`phase1`](Self::phase1), but carrying every request
     /// set as `W` masked `u64` words of local-input bits. Binning ORs a
@@ -672,89 +786,65 @@ impl HiRiseSwitch {
     /// weight is a popcount. Columns are visited in ascending flat
     /// `(layer, column)` order — exactly the scalar loop order — so the
     /// LRG state and the winner sequence evolve bit-identically.
-    fn phase1_words<const W: usize>(&self, requests: &[Request], scratch: &mut ArbScratch) {
+    ///
+    /// Binning also notes whether any two admitted requests share a
+    /// column, a pool or a final output. When none do, the election is
+    /// skipped, [`grant_direct`](Self::grant_direct) commits the
+    /// request set and this returns `true`: phase 2 has nothing left to
+    /// do. Otherwise the election runs and phase 2 follows.
+    fn phase1_words<const W: usize>(
+        &mut self,
+        requests: &[Request],
+        scratch: &mut ArbScratch,
+        grants: &mut Vec<Grant>,
+    ) -> bool {
         debug_assert_eq!(W, self.cfg.ports_per_layer().div_ceil(64).max(1));
-        let l = self.cfg.layers();
-        let c = self.cfg.channel_multiplicity();
-        let p = self.cfg.ports_per_layer();
-        let cols = self.column_count();
-
+        let mut contended = false;
         for request in requests {
-            let input = request.input;
-            let output = request.output;
-            assert!(
-                input.index() < self.cfg.radix(),
-                "input {input} out of range"
-            );
-            assert!(
-                output.index() < self.cfg.radix(),
-                "output {output} out of range"
-            );
-            if scratch.seen[input.index()]
-                || self.connected[input.index() / 64] >> (input.index() % 64) & 1 == 1
-            {
+            let Some((bin, local)) = self.admit(request, scratch) else {
                 continue;
-            }
-            if let Some(faults) = &self.faults {
-                if faults.input_down(input.index())
-                    || faults.xpoint_down(input.index(), output.index())
-                {
-                    continue; // dead port or crosspoint: request is masked out
+            };
+            let output = request.output.index();
+            let out_word = &mut scratch.out_bits[output / 64];
+            contended |= *out_word >> (output % 64) & 1 == 1;
+            *out_word |= 1u64 << (output % 64);
+            match bin {
+                Bin::Column(flat) => {
+                    let touched = &mut scratch.touched_cols[flat / 64];
+                    contended |= *touched >> (flat % 64) & 1 == 1;
+                    *touched |= 1u64 << (flat % 64);
+                    scratch.col_masks[flat * W + local / 64] |= 1u64 << (local % 64);
                 }
-            }
-            scratch.seen[input.index()] = true;
-            let (src, local) = self.decode.input[input.index()];
-            let (src, local) = (src as usize, local as usize);
-            let (dst, out_local) = self.decode.output[output.index()];
-            let (dst, out_local) = (dst as usize, out_local as usize);
-            scratch.dest[input.index()] = output.index() as u32;
-            if src == dst {
-                // An intermediate column is 1:1 with its output, so every
-                // request binned here contends for `output` alone. If the
-                // output is still mid-transfer the whole column loses in
-                // phase 2 with no state updates, so dropping the request
-                // now is exact — and it skips the column election for the
-                // common head-of-line-blocked case, where a stalled VC
-                // re-requests the same busy output every cycle.
-                if self.owned[output.index() / 64] >> (output.index() % 64) & 1 == 1 {
-                    continue;
-                }
-                // Intermediate column index == the output's local index.
-                let flat = src * cols + out_local;
-                scratch.col_masks[flat * W + local / 64] |= 1u64 << (local % 64);
-                scratch.touched_cols[flat / 64] |= 1u64 << (flat % 64);
-            } else {
-                use crate::config::ChannelAllocation;
-                let bound = match self.decode.allocation {
-                    ChannelAllocation::InputBinned => {
-                        Some(self.decode.in_k[input.index()] as usize)
-                    }
-                    ChannelAllocation::OutputBinned => {
-                        Some(self.decode.out_k[output.index()] as usize)
-                    }
-                    ChannelAllocation::PriorityBased => None,
-                };
-                match bound {
-                    Some(k) => {
-                        let Some(k) = self.usable_channel(src, dst, k) else {
-                            continue; // every channel of the pair is down
-                        };
-                        if self.channels.is_busy(src, dst, k) {
-                            continue; // channel held by a transfer; retry later
-                        }
-                        let compressed_dst = if dst < src { dst } else { dst - 1 };
-                        // channel_column(compressed_dst, k) without the call.
-                        let flat = src * cols + p + compressed_dst * c + k;
-                        scratch.col_masks[flat * W + local / 64] |= 1u64 << (local % 64);
-                        scratch.touched_cols[flat / 64] |= 1u64 << (flat % 64);
-                    }
-                    None => {
-                        let pool = src * l + dst;
-                        scratch.pool_masks[pool * W + local / 64] |= 1u64 << (local % 64);
-                    }
+                Bin::Pool(pool) => {
+                    let words = &mut scratch.pool_masks[pool * W..pool * W + W];
+                    contended |= words.iter().any(|&w| w != 0);
+                    words[local / 64] |= 1u64 << (local % 64);
                 }
             }
         }
+        // Phase 2's collision scan reuses the output bitmap.
+        scratch.out_bits.fill(0);
+        if !contended {
+            self.grant_direct::<W>(scratch, grants);
+            #[cfg(test)]
+            {
+                // `grants` was cleared at the start of the call.
+                self.direct_grants += grants.len() as u64;
+            }
+            return true;
+        }
+        scratch.reset();
+        self.elect_words::<W>(scratch);
+        false
+    }
+
+    /// Word-kernel column and pool election over the masks that
+    /// [`phase1_words`](Self::phase1_words) binned. Winners accumulate
+    /// in `scratch.winners`.
+    fn elect_words<const W: usize>(&self, scratch: &mut ArbScratch) {
+        let l = self.cfg.layers();
+        let c = self.cfg.channel_multiplicity();
+        let p = self.decode.ports;
 
         // Statically-binned columns: ascending flat index = the scalar
         // path's (layer-major, column-minor) order. Masks are
@@ -772,8 +862,9 @@ impl HiRiseSwitch {
                 let mask: [u64; W] = (&*mask_words).try_into().expect("exact W-word slice");
                 mask_words.fill(0);
                 let weight: u32 = mask.iter().map(|w| w.count_ones()).sum();
-                let winner_local = self.locals[layer]
-                    .grant_words::<W>(column, &mask)
+                let winner_local = self
+                    .local
+                    .grant_words::<W>(flat, &mask)
                     .expect("non-empty request set");
                 let input = InputId::new(layer * p + winner_local);
                 let output = OutputId::new(scratch.dest[input.index()] as usize);
@@ -787,14 +878,6 @@ impl HiRiseSwitch {
                     // were filtered at admission.
                     continue;
                 }
-                let resource = match self.column_kinds[column] {
-                    ColumnKind::Intermediate => PathResource::Intermediate,
-                    ColumnKind::Channel { compressed_dst, k } => PathResource::Channel {
-                        src: layer,
-                        dst: self.dst_of_compressed(layer, compressed_dst),
-                        k,
-                    },
-                };
                 scratch.winners.push(Phase1Winner {
                     layer,
                     column,
@@ -804,7 +887,7 @@ impl HiRiseSwitch {
                         output,
                     },
                     weight,
-                    resource,
+                    resource: self.column_resource(layer, column),
                 });
             }
         }
@@ -831,17 +914,13 @@ impl HiRiseSwitch {
                     if weight == 0 {
                         break;
                     }
-                    if self.channels.is_busy(src, dst, k) {
+                    if !self.pool_channel_open(src, dst, k) {
                         continue;
                     }
-                    if let Some(faults) = &self.faults {
-                        if faults.tsv_down(self.channels.index(src, dst, k)) {
-                            continue; // dead L2LC: skip it, later channels absorb
-                        }
-                    }
-                    let column = self.locals[src].channel_column(compressed_dst, k);
-                    let winner_local = self.locals[src]
-                        .grant_words::<W>(column, &mask)
+                    let column = self.local.channel_column(compressed_dst, k);
+                    let winner_local = self
+                        .local
+                        .grant_words::<W>(self.local.flat(src, column), &mask)
                         .expect("non-empty pool");
                     scratch.pool_masks[base + winner_local / 64] &= !(1u64 << (winner_local % 64));
                     let input = InputId::new(src * p + winner_local);
@@ -870,6 +949,117 @@ impl HiRiseSwitch {
         }
     }
 
+    /// Grants an uncontended word-kernel request set without election:
+    /// every touched column and pool holds exactly one request, and no
+    /// two requests share a final output. The [module
+    /// documentation](self) says why the grants and every priority
+    /// update match the pipeline's.
+    fn grant_direct<const W: usize>(&mut self, scratch: &mut ArbScratch, grants: &mut Vec<Grant>) {
+        let l = self.cfg.layers();
+        let p = self.decode.ports;
+        for word_index in 0..scratch.touched_cols.len() {
+            let mut bits = scratch.touched_cols[word_index];
+            scratch.touched_cols[word_index] = 0;
+            while bits != 0 {
+                let flat = word_index * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (layer, column) = self.decode.col[flat];
+                let (layer, column) = (layer as usize, column as usize);
+                let local = take_lone(&mut scratch.col_masks[flat * W..flat * W + W]);
+                let input = layer * p + local;
+                let output = scratch.dest[input] as usize;
+                if self.owned[output / 64] >> (output % 64) & 1 == 1 {
+                    continue; // channel column to a busy output: loses
+                }
+                let winner = Phase1Winner {
+                    layer,
+                    column,
+                    request: ColumnRequest {
+                        local_input: local,
+                        input: InputId::new(input),
+                        output: OutputId::new(output),
+                    },
+                    weight: 1,
+                    resource: self.column_resource(layer, column),
+                };
+                self.grant_lone(&winner, grants);
+            }
+        }
+        if !matches!(
+            self.decode.allocation,
+            crate::config::ChannelAllocation::PriorityBased
+        ) {
+            return; // no pool holds a request
+        }
+        for pool in 0..l * l {
+            let words = &mut scratch.pool_masks[pool * W..pool * W + W];
+            if words.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let local = take_lone(words);
+            let (src, dst) = (pool / l, pool % l);
+            let input = src * p + local;
+            let output = scratch.dest[input] as usize;
+            let c = self.cfg.channel_multiplicity();
+            let Some(k) = (0..c).find(|&k| self.pool_channel_open(src, dst, k)) else {
+                continue; // no free live channel: the request loses
+            };
+            if self.owned[output / 64] >> (output % 64) & 1 == 1 {
+                continue;
+            }
+            let compressed_dst = if dst < src { dst } else { dst - 1 };
+            let winner = Phase1Winner {
+                layer: src,
+                column: self.local.channel_column(compressed_dst, k),
+                request: ColumnRequest {
+                    local_input: local,
+                    input: InputId::new(input),
+                    output: OutputId::new(output),
+                },
+                weight: 1,
+                resource: PathResource::Channel { src, dst, k },
+            };
+            self.grant_lone(&winner, grants);
+        }
+    }
+
+    /// The path resource a winner of local column `column` on `layer`
+    /// holds.
+    fn column_resource(&self, layer: usize, column: usize) -> PathResource {
+        match self.column_kinds[column] {
+            ColumnKind::Intermediate => PathResource::Intermediate,
+            ColumnKind::Channel { compressed_dst, k } => PathResource::Channel {
+                src: layer,
+                dst: self.dst_of_compressed(layer, compressed_dst),
+                k,
+            },
+        }
+    }
+
+    /// Whether channel `k` from `src` to `dst` can take a pool winner:
+    /// not held by a transfer and not a dead L2LC.
+    fn pool_channel_open(&self, src: usize, dst: usize, k: usize) -> bool {
+        !self.channels.is_busy(src, dst, k)
+            && !self
+                .faults
+                .as_ref()
+                .is_some_and(|faults| faults.tsv_down(self.channels.index(src, dst, k)))
+    }
+
+    /// Phase 2 for a winner that is its sub-block's only contender: it
+    /// wins regardless of priority state, and the sub-block still
+    /// applies the scheme's update for the win.
+    fn grant_lone(&mut self, winner: &Phase1Winner, grants: &mut Vec<Grant>) {
+        let output = winner.request.output.index();
+        let contender = self.contender_of(winner);
+        let winner_pos = self
+            .subblocks
+            .arbitrate_word(output, std::slice::from_ref(&contender))
+            .expect("non-empty contender set");
+        debug_assert_eq!(winner_pos, 0);
+        self.commit_winner(winner, output, grants);
+    }
+
     /// The sub-block contender a phase-1 winner presents at its output.
     fn contender_of(&self, w: &Phase1Winner) -> Contender {
         let slot = match w.resource {
@@ -889,10 +1079,11 @@ impl HiRiseSwitch {
     /// local priority update, seize the path resources, and record the
     /// connection.
     fn commit_winner(&mut self, winner: &Phase1Winner, output: usize, grants: &mut Vec<Grant>) {
-        self.locals[winner.layer].update(winner.column, winner.request.local_input);
+        let flat = self.local.flat(winner.layer, winner.column);
+        self.local.update(flat, winner.request.local_input);
         match winner.resource {
             PathResource::Channel { src, dst, k } => {
-                self.channels.acquire(src, dst, k, winner.request.input);
+                self.channels.acquire(src, dst, k);
                 let compressed_dst = if dst < src { dst } else { dst - 1 };
                 let c = self.cfg.channel_multiplicity();
                 let l = self.cfg.layers();
@@ -908,7 +1099,6 @@ impl HiRiseSwitch {
             resource: winner.resource,
         });
         self.connected[input.index() / 64] |= 1u64 << (input.index() % 64);
-        self.output_owner[output] = Some(input);
         self.owned[output / 64] |= 1u64 << (output % 64);
         grants.push(Grant {
             input,
@@ -935,22 +1125,28 @@ impl Fabric for HiRiseSwitch {
         }
         // Detach the scratch arenas so phase 1 and 2 can borrow `self`
         // freely; reattached below.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset();
-        match self.kernel {
+        let mut scratch = self.scratch.take().expect("scratch attached between calls");
+        scratch.seen.fill(0);
+        let granted = match self.kernel {
             KernelSel::Scalar => {
+                scratch.reset();
                 scratch.reset_scalar_bins();
                 self.phase1(requests, &mut scratch);
+                false
             }
-            KernelSel::Word1 => self.phase1_words::<1>(requests, &mut scratch),
-            KernelSel::Word2 => self.phase1_words::<2>(requests, &mut scratch),
-            KernelSel::Word4 => self.phase1_words::<4>(requests, &mut scratch),
+            KernelSel::Word1 => self.phase1_words::<1>(requests, &mut scratch, grants),
+            KernelSel::Word2 => self.phase1_words::<2>(requests, &mut scratch, grants),
+            KernelSel::Word4 => self.phase1_words::<4>(requests, &mut scratch, grants),
+        };
+        if granted {
+            self.scratch = Some(scratch);
+            return;
         }
 
         // Phase 2. In the word kernel, phase 1 never emits a winner for
-        // an owned output, and on most cycles no two winners share a
-        // final output either — every sub-block sees exactly one
-        // contender. Detect that with one bitmap pass and, when it
+        // an owned output, and on most contended cycles no two winners
+        // share a final output either — every sub-block sees exactly
+        // one contender. Detect that with one bitmap pass and, when it
         // holds, skip the per-output grouping entirely: processing
         // winners in emission order is then identical to the grouped
         // path's first-seen output order, so the state evolution stays
@@ -971,15 +1167,9 @@ impl Fabric for HiRiseSwitch {
         if self.kernel != KernelSel::Scalar && !collision {
             for index in 0..scratch.winners.len() {
                 let winner = scratch.winners[index];
-                let output = winner.request.output.index();
-                let contender = self.contender_of(&winner);
-                let winner_pos = self.subblocks[output]
-                    .arbitrate_word(std::slice::from_ref(&contender))
-                    .expect("non-empty contender set");
-                debug_assert_eq!(winner_pos, 0);
-                self.commit_winner(&winner, output, grants);
+                self.grant_lone(&winner, grants);
             }
-            self.scratch = scratch;
+            self.scratch = Some(scratch);
             return;
         }
 
@@ -1009,15 +1199,15 @@ impl Fabric for HiRiseSwitch {
                     .push(self.contender_of(&scratch.winners[index]));
             }
             let winner_pos = match self.kernel {
-                KernelSel::Scalar => self.subblocks[output].arbitrate(&scratch.contenders),
-                _ => self.subblocks[output].arbitrate_word(&scratch.contenders),
+                KernelSel::Scalar => self.subblocks.arbitrate(output, &scratch.contenders),
+                _ => self.subblocks.arbitrate_word(output, &scratch.contenders),
             }
             .expect("non-empty contender set");
             let winner = scratch.winners[scratch.per_output[output][winner_pos]];
             scratch.per_output[output].clear();
             self.commit_winner(&winner, output, grants);
         }
-        self.scratch = scratch;
+        self.scratch = Some(scratch);
     }
 
     fn release(&mut self, input: InputId) {
@@ -1028,7 +1218,6 @@ impl Fabric for HiRiseSwitch {
         if let Some(path) = self.connections[input.index()].take() {
             self.connected[input.index() / 64] &= !(1u64 << (input.index() % 64));
             let out = path.output.index();
-            self.output_owner[out] = None;
             self.owned[out / 64] &= !(1u64 << (out % 64));
             if let PathResource::Channel { src, dst, k } = path.resource {
                 self.channels.release(src, dst, k);
@@ -1041,7 +1230,7 @@ impl Fabric for HiRiseSwitch {
     }
 
     fn output_busy(&self, output: OutputId) -> bool {
-        self.output_owner[output.index()].is_some()
+        self.owned[output.index() / 64] >> (output.index() % 64) & 1 == 1
     }
 
     /// One fault-site bundle per L2LC: `L * (L-1) * c` bundles, indexed
@@ -1520,10 +1709,57 @@ mod tests {
         assert!(!sw.channel_busy(LayerId::new(0), LayerId::new(3), ChannelId::new(0)));
     }
 
+    /// Co-steps a scalar and a word switch on sparse traffic: 0–4
+    /// requests a cycle between random ports, with every connected
+    /// input released with probability 1/4 each cycle so the switch
+    /// never saturates. Most calls are uncontended, so the word switch
+    /// mostly takes the direct grant; the rest exercise the fallback.
+    /// Returns the number of grants the direct path made.
+    fn co_step_sparse(
+        scalar: &mut HiRiseSwitch,
+        word: &mut HiRiseSwitch,
+        seed: u64,
+        label: &str,
+    ) -> u64 {
+        let radix = scalar.radix();
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        for cycle in 0..2000 {
+            let requests: Vec<Request> = (0..next() % 5)
+                .map(|_| req(next() % radix, next() % radix))
+                .collect();
+            let a = scalar.arbitrate(&requests);
+            let b = word.arbitrate(&requests);
+            assert_eq!(a, b, "{label}: sparse twin diverged at cycle {cycle}");
+            for i in 0..radix {
+                let input = InputId::new(i);
+                if scalar.connection(input).is_some() && next() % 4 == 0 {
+                    scalar.release(input);
+                    word.release(input);
+                }
+            }
+        }
+        assert_eq!(
+            scalar.inter_layer_fraction(),
+            word.inter_layer_fraction(),
+            "{label}: grant counters must match too"
+        );
+        assert_eq!(
+            scalar.direct_grants, 0,
+            "the scalar kernel has no direct path"
+        );
+        word.direct_grants
+    }
+
     /// The word kernel must twin the scalar kernel bit-for-bit: same
     /// grant sequences under random traffic across every scheme and
     /// channel-allocation policy, with connections held and released at
     /// random so channel-busy and pool serialization paths all fire.
+    /// Dense traffic runs the election pipeline; sparse traffic at
+    /// radix 16 and 64 runs the direct grant and its fallback.
     #[test]
     fn word_kernel_twins_scalar_kernel() {
         use crate::kernel::ArbiterKernel;
@@ -1580,6 +1816,23 @@ mod tests {
                     word.inter_layer_fraction(),
                     "grant counters must match too"
                 );
+
+                for radix in [16, 64] {
+                    let cfg = HiRiseConfig::builder(radix, 4)
+                        .channel_multiplicity(4)
+                        .scheme(scheme)
+                        .allocation(allocation)
+                        .build()
+                        .unwrap();
+                    let label = format!("{} / {allocation:?} / r{radix}", scheme.label());
+                    let direct = co_step_sparse(
+                        &mut HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Scalar),
+                        &mut HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Word),
+                        0x5EED_0000 + radix as u64,
+                        &label,
+                    );
+                    assert!(direct > 1000, "{label}: direct path made {direct} grants");
+                }
             }
         }
     }
@@ -1588,20 +1841,23 @@ mod tests {
     fn word_kernel_matches_scalar_under_faults() {
         use crate::fault::{Fault, FaultSite};
         use crate::kernel::ArbiterKernel;
-        let cfg = HiRiseConfig::paper_optimal();
-        let mut scalar = HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Scalar);
-        let mut word = HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Word);
-        for sw in [&mut scalar, &mut word] {
+        fn inject(sw: &mut HiRiseSwitch) {
+            let last = sw.radix() - 1;
             sw.inject_fault(Fault::dead(FaultSite::TsvBundle { index: 2 * 4 }))
                 .unwrap();
             sw.inject_fault(Fault::dead(FaultSite::Port { input: 7 }))
                 .unwrap();
             sw.inject_fault(Fault::dead(FaultSite::Crosspoint {
                 input: 1,
-                output: 63,
+                output: last,
             }))
             .unwrap();
         }
+        let cfg = HiRiseConfig::paper_optimal();
+        let mut scalar = HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Scalar);
+        let mut word = HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Word);
+        inject(&mut scalar);
+        inject(&mut word);
         let mut state = 0xC0FF_EE00u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -1622,6 +1878,27 @@ mod tests {
                     scalar.release(grant.input);
                     word.release(grant.input);
                 }
+            }
+        }
+
+        for radix in [16, 64] {
+            for allocation in [
+                ChannelAllocation::InputBinned,
+                ChannelAllocation::OutputBinned,
+                ChannelAllocation::PriorityBased,
+            ] {
+                let cfg = HiRiseConfig::builder(radix, 4)
+                    .channel_multiplicity(4)
+                    .allocation(allocation)
+                    .build()
+                    .unwrap();
+                let mut scalar = HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Scalar);
+                let mut word = HiRiseSwitch::with_kernel(&cfg, ArbiterKernel::Word);
+                inject(&mut scalar);
+                inject(&mut word);
+                let label = format!("faulted {allocation:?} / r{radix}");
+                let direct = co_step_sparse(&mut scalar, &mut word, 0xFA17 + radix as u64, &label);
+                assert!(direct > 1000, "{label}: direct path made {direct} grants");
             }
         }
     }

@@ -187,14 +187,27 @@ fn fabric_from_value(value: &Json, ctx: &str) -> Result<FabricSpec, SpecError> {
         .ok_or_else(|| invalid(format!("{ctx}.kind"), "missing or non-string fabric kind"))?;
     match kind {
         "2d" => Ok(FabricSpec::Flat2d {
-            radix: require_usize(value, "radix", ctx)?,
+            radix: require_radix(value, ctx)?,
         }),
-        "folded" => Ok(FabricSpec::Folded {
-            radix: require_usize(value, "radix", ctx)?,
-            layers: require_usize(value, "layers", ctx)?,
-        }),
+        "folded" => {
+            let radix = require_radix(value, ctx)?;
+            let layers = require_usize(value, "layers", ctx)?;
+            if layers < 2 {
+                return Err(invalid(
+                    format!("{ctx}.layers"),
+                    "a folded switch needs at least 2 layers",
+                ));
+            }
+            if !radix.is_multiple_of(layers) {
+                return Err(invalid(
+                    format!("{ctx}.radix"),
+                    format!("radix {radix} does not divide evenly over {layers} layers"),
+                ));
+            }
+            Ok(FabricSpec::Folded { radix, layers })
+        }
         "matching" => {
-            let radix = require_usize(value, "radix", ctx)?;
+            let radix = require_radix(value, ctx)?;
             let policy_ctx = format!("{ctx}.policy");
             let name = value
                 .get("policy")
@@ -477,6 +490,14 @@ fn require_usize(value: &Json, key: &str, ctx: &str) -> Result<usize, SpecError>
     as_usize(field, &format!("{ctx}.{key}"))
 }
 
+/// A fabric's required `radix`, which must be at least 1.
+fn require_radix(value: &Json, ctx: &str) -> Result<usize, SpecError> {
+    match require_usize(value, "radix", ctx)? {
+        0 => Err(invalid(format!("{ctx}.radix"), "radix must be at least 1")),
+        radix => Ok(radix),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,6 +593,30 @@ mod tests {
                 // radix not divisible by layers: rejected by the builder.
                 r#"{"name":"x","fabrics":[{"kind":"hirise","radix":10,"layers":4}]}"#,
                 "fabrics[0]",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":0}]}"#,
+                "fabrics[0].radix",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"matching","radix":0,"policy":"wavefront"}]}"#,
+                "fabrics[0].radix",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"folded","radix":8,"layers":0}]}"#,
+                "fabrics[0].layers",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"folded","radix":8,"layers":1}]}"#,
+                "fabrics[0].layers",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"folded","radix":8,"layers":3}]}"#,
+                "fabrics[0].radix",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"folded","radix":0,"layers":2}]}"#,
+                "fabrics[0].radix",
             ),
             (r#"{"name":"x","patterns":["warp9"]}"#, "patterns[0]"),
             (r#"{"name":"x","patterns":["rpc0"]}"#, "patterns[0]"),

@@ -1,15 +1,20 @@
-//! The crash-safe request journal.
+//! The request journal, which survives a killed daemon process.
 //!
 //! The daemon's durability story has two layers: finished jobs live in
 //! the content-addressed result cache (each entry written atomically),
 //! and *intent* lives here — an append-only JSONL journal recording
 //! which campaigns were admitted (`begin`) and which were fully served
 //! (`done`). Both records are flushed before the daemon proceeds, so
-//! after a crash the invariant holds: every admitted campaign is
-//! either marked done (all its records are in the cache) or listed as
-//! incomplete. Recovery simply re-runs the incomplete campaigns —
+//! after the process dies the invariant holds: every admitted campaign
+//! is either marked done (all its records are in the cache) or listed
+//! as incomplete. Recovery simply re-runs the incomplete campaigns —
 //! jobs that finished before the crash are cache hits, so no finished
 //! work is ever recomputed.
+//!
+//! Limit: records are flushed to the operating system but never
+//! `fsync`ed. They survive a process kill (SIGKILL, a panic, an abort),
+//! because the kernel still holds the written data, but not an OS
+//! crash or a power loss, which can drop or tear the journal's tail.
 //!
 //! The file tolerates a torn trailing line (a crash mid-append): lines
 //! that do not parse are skipped. Opening the journal compacts it,

@@ -13,9 +13,11 @@
 //! - **Admission control** ([`server`]): a bounded queue, a global
 //!   in-flight cap and per-client limits turn overload into typed
 //!   `error` responses instead of unbounded latency.
-//! - **Crash-safe journaling** ([`journal`]): campaign intent is on
-//!   disk before work starts, so a killed daemon restarts and resumes
-//!   incomplete campaigns without recomputing finished jobs.
+//! - **Journaling** ([`journal`]): campaign intent is flushed to the
+//!   journal before work starts, so a killed daemon restarts and
+//!   resumes incomplete campaigns without recomputing finished jobs.
+//!   The journal is not `fsync`ed: it survives a process kill, not an
+//!   OS crash or a power loss.
 //!
 //! The protocol and response format are documented in [`protocol`].
 

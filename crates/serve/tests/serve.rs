@@ -135,6 +135,24 @@ fn malformed_input_gets_typed_errors_and_the_connection_survives() {
             "bad_spec",
         ),
         (
+            // Fabric shapes whose constructors would panic: refused at
+            // parse time, not in a worker.
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"2d\",\"radix\":0}]}}",
+            "bad_spec",
+        ),
+        (
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"matching\",\"radix\":0,\"policy\":\"wavefront\"}]}}",
+            "bad_spec",
+        ),
+        (
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"folded\",\"radix\":8,\"layers\":1}]}}",
+            "bad_spec",
+        ),
+        (
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"folded\",\"radix\":8,\"layers\":3}]}}",
+            "bad_spec",
+        ),
+        (
             // A packet longer than its VC buffer: refused at parse time,
             // not a worker panic in the simulator.
             "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"sim\":{\"vc_depth\":2,\"packet_len\":4}}}",

@@ -11,8 +11,8 @@
 //! * [`lab`] — the deterministic parallel experiment-campaign runner
 //!   ([`hirise_lab`]).
 //! * [`serve`] — the resident campaign service with content-addressed
-//!   caching, admission control and crash-safe journaling
-//!   ([`hirise_serve`]).
+//!   caching, admission control and a journal that survives a killed
+//!   process ([`hirise_serve`]).
 
 pub use hirise_core as core;
 pub use hirise_lab as lab;
