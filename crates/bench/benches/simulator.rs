@@ -6,8 +6,9 @@ use hirise_bench::quickbench::Criterion;
 use hirise_bench::{criterion_group, criterion_main};
 use hirise_core::{HiRiseConfig, HiRiseSwitch, Switch2d};
 use hirise_manycore::{table_vi_mixes, CmpSystem, SystemConfig};
-use hirise_sim::mesh_sim::{MeshSim, MeshSimConfig};
-use hirise_sim::traffic::UniformRandom;
+use hirise_sim::mesh_sim::{MeshGeometry, MeshPortMap};
+use hirise_sim::shard::{ShardedConfig, ShardedSim};
+use hirise_sim::traffic::{TrafficPattern, UniformRandom};
 use hirise_sim::{NetworkSim, SimConfig};
 
 fn bench_network_sim(c: &mut Criterion) {
@@ -56,14 +57,21 @@ fn bench_mesh_sim(c: &mut Criterion) {
     group.bench_function("hirise_1k_cycles", |b| {
         let switch_cfg = HiRiseConfig::paper_optimal();
         b.iter(|| {
-            let cfg = MeshSimConfig::new(3, 3, 6)
+            let geo = MeshGeometry::new(3, 3, 6, 64, MeshPortMap::Contiguous);
+            let cfg = ShardedConfig::new()
                 .injection_rate(0.002)
                 .warmup(100)
                 .measure(1_000)
                 .drain(500);
-            let mut sim = MeshSim::new(cfg, || HiRiseSwitch::new(&switch_cfg));
-            let mut pattern = UniformRandom::new(sim.total_cores());
-            sim.run(&mut pattern)
+            let cores = geo.total_cores();
+            ShardedSim::new(
+                geo,
+                cfg,
+                1,
+                |_node| HiRiseSwitch::new(&switch_cfg),
+                || Box::new(UniformRandom::new(cores)) as Box<dyn TrafficPattern>,
+            )
+            .run()
         })
     });
     group.finish();

@@ -21,10 +21,10 @@
 //! cyclebench --net-smoke     # quick active-set-vs-dense regression gate
 //! ```
 //!
-//! `--net` benchmarks the *network-level* engines (whole topologies of
-//! switches rather than a single fabric): the unsharded mesh reference
-//! at the 8×8 radix-16 acceptance shape under high and low load, plus
-//! a dragonfly through the sharded engine at one shard. Its labels map
+//! `--net` benchmarks the *network-level* engine (whole topologies of
+//! switches rather than a single fabric): the 8×8 radix-16 mesh
+//! acceptance shape under high and low load, plus a dragonfly, both
+//! through `ShardedSim` at one shard. Its labels map
 //! to network engines, not kernels: `before` is the hash-map/dense
 //! engine (per-node `HashMap` routing metadata, every router scanned
 //! every cycle), `after` the arena + active-set engine (SoA packet
@@ -81,8 +81,8 @@ use hirise_core::{
 };
 use hirise_lab::json::{self, Json};
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry};
-use hirise_sim::mesh_sim::{MeshReport, MeshSim, MeshSimConfig};
-use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
+use hirise_sim::mesh_sim::{MeshGeometry, MeshPortMap, MeshReport};
+use hirise_sim::shard::{ShardTopology, ShardedConfig, ShardedSim};
 use hirise_sim::traffic::{TrafficPattern, UniformRandom};
 use hirise_sim::{NetSchedule, NetworkSim, SimConfig};
 
@@ -177,10 +177,6 @@ impl Row {
 
 /// Shard counts swept by `--sharded`.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Sharded-sweep mesh: radix and mesh ports per direction (8 endpoint
-/// cores per node remain).
-const SHARDED_RADIX: usize = 16;
-const SHARDED_PPD: usize = 2;
 
 /// One sharded measurement: simulated cycles/sec of the whole mesh and
 /// aggregate delivered flits/sec, at one shard count.
@@ -200,9 +196,9 @@ struct ShardedSection {
     points: Vec<ShardedPoint>,
 }
 
-/// `--net` sweep geometry: mesh ports per direction (8 endpoint cores
-/// per radix-16 node remain) and the radix shared by every benched
-/// topology.
+/// `--net` and `--sharded` geometry: mesh ports per direction (8
+/// endpoint cores per radix-16 node remain) and the radix shared by
+/// every benched topology.
 const NET_RADIX: usize = 16;
 const NET_PPD: usize = 2;
 /// Engine benchmarked under each `--net` label.
@@ -365,38 +361,10 @@ fn measure(fabric: &'static str, radix: usize, kernel: ArbiterKernel, scale: &Sc
     }
 }
 
-/// Builds the sharded-sweep mesh: `cols x rows` radix-16 Hi-Rise
-/// switches with 8 cores each, uniform random traffic, measurement
-/// window open-ended so segment deltas count every delivery.
-fn build_sharded_mesh(
-    cols: usize,
-    rows: usize,
-    shards: usize,
-) -> ShardedSim<HiRiseSwitch, hirise_sim::mesh_sim::MeshGeometry> {
-    let cfg = MeshSimConfig::new(cols, rows, SHARDED_PPD)
-        .injection_rate(INJECTION_RATE)
-        .warmup(0)
-        .measure(u64::MAX / 2)
-        .seed(SEED);
-    let switch_cfg = HiRiseConfig::builder(SHARDED_RADIX, LAYERS)
-        .channel_multiplicity(4)
-        .scheme(ArbitrationScheme::LayerToLayerLrg)
-        .build()
-        .expect("valid Hi-Rise configuration");
-    let cores = (SHARDED_RADIX - 4 * SHARDED_PPD) * cols * rows;
-    sharded_mesh(
-        &cfg,
-        SHARDED_RADIX,
-        shards,
-        move |_node| HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word),
-        move || Box::new(UniformRandom::new(cores)) as Box<dyn TrafficPattern>,
-    )
-}
-
 /// Benchmarks the sweep mesh at one shard count: median simulated
 /// cycles/sec and aggregate delivered flits/sec across timed segments.
 fn measure_sharded(cols: usize, rows: usize, shards: usize, scale: &Scale) -> ShardedPoint {
-    let mut sim = build_sharded_mesh(cols, rows, shards);
+    let mut sim = build_sweep_mesh(cols, rows, shards);
     sim.run_cycles(scale.warmup_cycles);
     let mut cycles_per_sec = Vec::with_capacity(scale.reps);
     let mut flits_per_sec = Vec::with_capacity(scale.reps);
@@ -423,7 +391,7 @@ fn measure_sharded(cols: usize, rows: usize, shards: usize, scale: &Scale) -> Sh
 fn measure_sharded_section(scale: &Scale) -> ShardedSection {
     let (cols, rows) = if scale.quick { (4, 4) } else { (8, 8) };
     println!(
-        "cyclebench --sharded: {cols}x{rows} mesh of radix-{SHARDED_RADIX} hirise, \
+        "cyclebench --sharded: {cols}x{rows} mesh of radix-{NET_RADIX} hirise, \
          {} cycles x {} reps per shard count\n",
         scale.cycles_per_rep, scale.reps
     );
@@ -451,46 +419,68 @@ fn net_switch_cfg() -> HiRiseConfig {
         .expect("valid Hi-Rise configuration")
 }
 
-/// Benchmarks the unsharded mesh reference (`MeshSim`) at one load:
-/// median simulated cycles/sec and delivered packets/sec across timed
-/// segments.
+/// A `cols x rows` mesh of radix-16 Hi-Rise switches (8 cores each)
+/// under uniform random traffic on `shards` shards, measuring from
+/// `warmup` for `measure` cycles.
+fn build_mesh(
+    (cols, rows): (usize, usize),
+    shards: usize,
+    injection: f64,
+    schedule: NetSchedule,
+    warmup: u64,
+    measure: u64,
+) -> ShardedSim<HiRiseSwitch, MeshGeometry> {
+    let geo = MeshGeometry::new(cols, rows, NET_PPD, NET_RADIX, MeshPortMap::Contiguous);
+    let cfg = ShardedConfig::new()
+        .injection_rate(injection)
+        .warmup(warmup)
+        .measure(measure)
+        .seed(SEED)
+        .schedule(schedule);
+    let switch_cfg = net_switch_cfg();
+    let cores = geo.total_cores();
+    ShardedSim::new(
+        geo,
+        cfg,
+        shards,
+        |_node| HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word),
+        || Box::new(UniformRandom::new(cores)) as Box<dyn TrafficPattern>,
+    )
+}
+
+/// The `--sharded` sweep mesh at the kernel grid's load, measurement
+/// window open-ended so segment deltas count every delivery.
+fn build_sweep_mesh(
+    cols: usize,
+    rows: usize,
+    shards: usize,
+) -> ShardedSim<HiRiseSwitch, MeshGeometry> {
+    let schedule = NetSchedule::default();
+    build_mesh(
+        (cols, rows),
+        shards,
+        INJECTION_RATE,
+        schedule,
+        0,
+        u64::MAX / 2,
+    )
+}
+
+/// Benchmarks the mesh at one load: median simulated cycles/sec and
+/// delivered packets/sec across timed segments.
 fn measure_net_mesh(
     dim: usize,
     injection: f64,
     schedule: NetSchedule,
     scale: &Scale,
 ) -> Throughput {
-    let cfg = MeshSimConfig::new(dim, dim, NET_PPD)
-        .injection_rate(injection)
-        .warmup(0)
-        .measure(u64::MAX / 2)
-        .seed(SEED)
-        .schedule(schedule);
-    let switch_cfg = net_switch_cfg();
-    let mut sim = MeshSim::new(cfg, move || {
-        HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word)
-    });
-    let mut pattern = UniformRandom::new(sim.total_cores());
-    let mut report = sim.empty_report();
-    sim.run_cycles(&mut pattern, &mut report, scale.warmup_cycles);
-    let mut cycles_per_sec = Vec::with_capacity(scale.reps);
-    let mut packets_per_sec = Vec::with_capacity(scale.reps);
-    for _ in 0..scale.reps {
-        let delivered = report.completed_measured();
-        let start = Instant::now();
-        sim.run_cycles(&mut pattern, &mut report, scale.cycles_per_rep);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        cycles_per_sec.push(scale.cycles_per_rep as f64 / secs);
-        packets_per_sec.push((report.completed_measured() - delivered) as f64 / secs);
-    }
-    Throughput {
-        cycles_per_sec: median(&mut cycles_per_sec),
-        packets_per_sec: median(&mut packets_per_sec),
-    }
+    time_segments(
+        build_mesh((dim, dim), 1, injection, schedule, 0, u64::MAX / 2),
+        scale,
+    )
 }
 
-/// Benchmarks the dragonfly through the sharded engine at one shard
-/// (the engine itself, without lockstep overhead).
+/// Benchmarks the dragonfly at one shard.
 fn measure_net_dragonfly(injection: f64, schedule: NetSchedule, scale: &Scale) -> Throughput {
     let (_routers, (a, p, h, g)) = net_dragonfly(scale);
     let geo = DragonflyGeometry::new(DragonflyConfig::new(a, p, h, g), NET_RADIX, &[])
@@ -503,13 +493,22 @@ fn measure_net_dragonfly(injection: f64, schedule: NetSchedule, scale: &Scale) -
         .seed(SEED)
         .schedule(schedule);
     let switch_cfg = net_switch_cfg();
-    let mut sim = ShardedSim::new(
+    let sim = ShardedSim::new(
         geo,
         cfg,
         1,
         |_node| HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word),
         || Box::new(UniformRandom::new(endpoints)) as Box<dyn TrafficPattern>,
     );
+    time_segments(sim, scale)
+}
+
+/// Warms `sim` up untimed, then times `scale.reps` segments: median
+/// simulated cycles/sec and delivered packets/sec.
+fn time_segments<T: ShardTopology>(
+    mut sim: ShardedSim<HiRiseSwitch, T>,
+    scale: &Scale,
+) -> Throughput {
     sim.run_cycles(scale.warmup_cycles);
     let mut cycles_per_sec = Vec::with_capacity(scale.reps);
     let mut packets_per_sec = Vec::with_capacity(scale.reps);
@@ -651,9 +650,9 @@ fn render_sharded(out: &mut String, section: &ShardedSection) {
     out.push_str(",\"rows\":");
     out.push_str(&section.rows.to_string());
     out.push_str(",\"radix\":");
-    out.push_str(&SHARDED_RADIX.to_string());
+    out.push_str(&NET_RADIX.to_string());
     out.push_str(",\"ports_per_direction\":");
-    out.push_str(&SHARDED_PPD.to_string());
+    out.push_str(&NET_PPD.to_string());
     out.push_str(",\"results\":[\n");
     for (index, point) in section.points.iter().enumerate() {
         out.push_str("    {\"shards\":");
@@ -902,7 +901,7 @@ fn smoke() -> ExitCode {
     let sharded_reports: Vec<MeshReport> = [1usize, 4]
         .iter()
         .map(|&shards| {
-            let mut sim = build_sharded_mesh(4, 4, shards);
+            let mut sim = build_sweep_mesh(4, 4, shards);
             sim.run_cycles(2_000);
             sim.report()
         })
@@ -976,20 +975,9 @@ fn net_smoke() -> ExitCode {
     let reports: Vec<MeshReport> = [NetSchedule::Dense, NetSchedule::ActiveSet]
         .into_iter()
         .map(|schedule| {
-            let cfg = MeshSimConfig::new(dim, dim, NET_PPD)
-                .injection_rate(NET_SMOKE_INJECTION)
-                .warmup(100)
-                .measure(1_000)
-                .seed(SEED)
-                .schedule(schedule);
-            let switch_cfg = net_switch_cfg();
-            let mut sim = MeshSim::new(cfg, move || {
-                HiRiseSwitch::with_kernel(&switch_cfg, ArbiterKernel::Word)
-            });
-            let mut pattern = UniformRandom::new(sim.total_cores());
-            let mut report = sim.empty_report();
-            sim.run_cycles(&mut pattern, &mut report, 2_000);
-            report
+            let mut sim = build_mesh((dim, dim), 1, NET_SMOKE_INJECTION, schedule, 100, 1_000);
+            sim.run_cycles(2_000);
+            sim.report()
         })
         .collect();
     if reports[0] == reports[1] && reports[0].completed_measured() > 0 {

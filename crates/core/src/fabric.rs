@@ -52,7 +52,10 @@ pub trait Fabric: Send {
     fn radix(&self) -> usize;
 
     /// Runs one arbitration cycle over `requests`, establishing
-    /// connections for the winners and returning them.
+    /// connections for the winners and writing them into `grants`.
+    /// `grants` is cleared first, then filled; its capacity is reused
+    /// across calls, which is what makes the simulator's steady-state
+    /// cycle loop allocation-free.
     ///
     /// At most one request per input may be presented; later duplicates
     /// are ignored.
@@ -60,21 +63,19 @@ pub trait Fabric: Send {
     /// # Panics
     ///
     /// Implementations panic if a request references an out-of-range port.
-    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant>;
+    fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>);
 
-    /// Runs one arbitration cycle like [`arbitrate`](Self::arbitrate),
-    /// but writes the winners into a caller-owned buffer instead of
-    /// allocating one. `grants` is cleared first, then filled; its
-    /// capacity is reused across calls, which is what makes the
-    /// simulator's steady-state cycle loop allocation-free.
+    /// Runs one arbitration cycle like
+    /// [`arbitrate_into`](Self::arbitrate_into), returning the winners
+    /// in a freshly allocated vector.
     ///
-    /// The default implementation delegates to `arbitrate`; the fabrics
-    /// in this crate override it with natively buffer-filling paths and
-    /// re-express `arbitrate` on top of it, so both entry points always
-    /// produce identical grant sets.
-    fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
-        grants.clear();
-        grants.extend(self.arbitrate(requests));
+    /// # Panics
+    ///
+    /// Panics if a request references an out-of-range port.
+    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.arbitrate_into(requests, &mut grants);
+        grants
     }
 
     /// Releases the connection held by `input`, freeing the output and
@@ -149,8 +150,9 @@ pub trait Fabric: Send {
     /// tick the fabric every cycle rather than skipping it.
     ///
     /// Fabrics with flaky faults registered resample them (and draw
-    /// from their fault PRNG) on every [`arbitrate`](Self::arbitrate)
-    /// call, so skipping cycles would desynchronise the fault stream.
+    /// from their fault PRNG) on every
+    /// [`arbitrate_into`](Self::arbitrate_into) call, so skipping
+    /// cycles would desynchronise the fault stream.
     /// Fault-free fabrics — and fabrics with only dead faults — are
     /// pure functions of the presented requests and may be skipped
     /// while idle. The conservative default is `true` (never skip);
@@ -163,10 +165,6 @@ pub trait Fabric: Send {
 impl<F: Fabric + ?Sized> Fabric for Box<F> {
     fn radix(&self) -> usize {
         (**self).radix()
-    }
-
-    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-        (**self).arbitrate(requests)
     }
 
     fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {

@@ -121,10 +121,6 @@ impl Fabric for FoldedSwitch {
         self.inner.radix()
     }
 
-    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-        self.inner.arbitrate(requests)
-    }
-
     fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
         self.inner.arbitrate_into(requests, grants)
     }

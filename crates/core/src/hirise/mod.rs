@@ -1112,12 +1112,6 @@ impl Fabric for HiRiseSwitch {
         self.cfg.radix()
     }
 
-    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.arbitrate_into(requests, &mut grants);
-        grants
-    }
-
     fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
         grants.clear();
         if let Some(faults) = &mut self.faults {

@@ -26,7 +26,7 @@
 //!
 //! # Iteration accounting
 //!
-//! All `k` iterations complete within one [`Fabric::arbitrate`] call —
+//! All `k` iterations complete within one [`Fabric::arbitrate_into`] call —
 //! the *single-cycle-idealised* accounting EXPERIMENTS.md describes. In
 //! hardware a k-iteration scheduler needs k sub-cycles (or a k-times
 //! slower clock); the face-off experiment charges that cost analytically
@@ -35,7 +35,7 @@
 //!
 //! # VOQ extension to the fabric contract
 //!
-//! [`Fabric::arbitrate`] documents at most one request per input. A
+//! [`Fabric::arbitrate_into`] documents at most one request per input. A
 //! matching scheduler only becomes interesting when an input can offer
 //! several virtual output queues at once, so [`MatchingSwitch`] extends
 //! the contract: multiple requests per input are accepted (at most one
@@ -532,12 +532,6 @@ impl MatchingSwitch {
 impl Fabric for MatchingSwitch {
     fn radix(&self) -> usize {
         self.radix
-    }
-
-    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-        let mut grants = Vec::new();
-        self.arbitrate_into(requests, &mut grants);
-        grants
     }
 
     fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {

@@ -70,9 +70,9 @@ pub fn campaign_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 ///
 /// `name` is required; every other field defaults as in
 /// [`CampaignSpec::new`] when absent. Present fields must have the
-/// canonical schema's types, and fabric configurations are validated
-/// (an impossible Hi-Rise geometry is a [`SpecError::Invalid`], never a
-/// panic).
+/// canonical schema's types, fabric configurations are validated (an
+/// impossible Hi-Rise geometry is a [`SpecError::Invalid`], never a
+/// panic), and so is every job's shape ([`CampaignSpec::validate`]).
 pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     let obj = expect_obj(value, "spec")?;
     let name = require_str(obj, "name", "spec")?.to_string();
@@ -138,6 +138,7 @@ pub fn campaign_from_value(value: &Json) -> Result<CampaignSpec, SpecError> {
     if let Some(v) = obj.get("shards") {
         spec.shards = as_usize(v, "shards")?.max(1);
     }
+    spec.validate()?;
     Ok(spec)
 }
 
@@ -647,6 +648,66 @@ mod tests {
             (r#"{"name":"x","schemes":["clrg"]}"#, "schemes[0]"),
             (r#"{"name":"x","topology":"ring"}"#, "topology"),
             ("[]", "spec"),
+            // Shapes that parse but cannot be simulated.
+            (
+                r#"{"name":"x","topology":{"kind":"mesh","cols":0,"rows":2,"ports_per_direction":2},
+                    "fabrics":[{"kind":"2d","radix":16}]}"#,
+                "topology",
+            ),
+            (
+                r#"{"name":"x","topology":{"kind":"mesh","cols":2,"rows":2,"ports_per_direction":0},
+                    "fabrics":[{"kind":"2d","radix":16}]}"#,
+                "topology",
+            ),
+            (
+                r#"{"name":"x","topology":{"kind":"mesh","cols":2,"rows":2,"ports_per_direction":4},
+                    "fabrics":[{"kind":"2d","radix":16}]}"#,
+                "radix 16",
+            ),
+            (
+                r#"{"name":"x","topology":{"kind":"mesh","cols":2,"rows":2,"ports_per_direction":2,
+                    "layer_aware":3},"fabrics":[{"kind":"hirise","radix":16,"layers":4}]}"#,
+                "layer",
+            ),
+            (
+                r#"{"name":"x","topology":{"kind":"dragonfly","routers_per_group":6,"endpoints_per_router":6,
+                    "global_per_router":3,"groups":19},"fabrics":[{"kind":"2d","radix":8}]}"#,
+                "radix 8",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":8}],"patterns":["incast64"]}"#,
+                "patterns[0]",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":8}],"patterns":["transpose"]}"#,
+                "patterns[0]",
+            ),
+            (
+                // 2x2 nodes of radix 16 with 2 ports per direction: 32 cores.
+                r#"{"name":"x","topology":{"kind":"mesh","cols":2,"rows":2,"ports_per_direction":2},
+                    "fabrics":[{"kind":"2d","radix":16}],"patterns":["uniform","transpose"]}"#,
+                "patterns[1]",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":12}],"patterns":["bitcomp"]}"#,
+                "patterns[0]",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":2}],"patterns":["rpc5"]}"#,
+                "patterns[0]",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":8}],"patterns":["hotspot99"]}"#,
+                "patterns[0]",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"hirise","radix":16,"layers":4}],"patterns":["interlayer3"]}"#,
+                "patterns[0]",
+            ),
+            (
+                r#"{"name":"x","fabrics":[{"kind":"2d","radix":1}],"patterns":["tornado"]}"#,
+                "patterns[0]",
+            ),
         ] {
             let err = campaign_from_json(text).unwrap_err();
             assert!(
@@ -658,6 +719,39 @@ mod tests {
             campaign_from_json("{not json").unwrap_err(),
             SpecError::Json(_)
         ));
+    }
+
+    #[test]
+    fn validation_checks_every_expanded_radix() {
+        // Fine on radix 16, refused once a radix-8 fabric joins.
+        let text = |radices: &str| {
+            format!(
+                r#"{{"name":"x","fabrics":[{radices}],"patterns":["hotspot12"],"loads":[0.1]}}"#
+            )
+        };
+        assert!(campaign_from_json(&text(r#"{"kind":"2d","radix":16}"#)).is_ok());
+        let err = campaign_from_json(&text(r#"{"kind":"2d","radix":16},{"kind":"2d","radix":8}"#))
+            .unwrap_err();
+        assert!(err.to_string().contains("radix 8"), "{err}");
+    }
+
+    #[test]
+    fn dragonfly_dead_links_are_validated_per_job() {
+        // a=1, h=1, g=2: one wafer link in all, so killing one cuts the
+        // only path and killing two is impossible.
+        let spec = |dead: usize| {
+            format!(
+                r#"{{"name":"x","topology":{{"kind":"dragonfly","routers_per_group":1,
+                    "endpoints_per_router":2,"global_per_router":1,"groups":2}},
+                    "fabrics":[{{"kind":"2d","radix":4}}],"patterns":["uniform"],"loads":[0.1],
+                    "faults":[{{"dead_tsvs":{dead}}}]}}"#
+            )
+        };
+        assert!(campaign_from_json(&spec(0)).is_ok());
+        let err = campaign_from_json(&spec(1)).unwrap_err();
+        assert!(err.to_string().contains("unreachable"), "{err}");
+        let err = campaign_from_json(&spec(2)).unwrap_err();
+        assert!(err.to_string().contains("faults[0].dead_tsvs"), "{err}");
     }
 
     #[test]

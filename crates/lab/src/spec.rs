@@ -8,6 +8,7 @@
 //! regardless of how many worker threads execute the list or in what
 //! order they pick jobs up.
 
+use crate::parse::SpecError;
 use crate::result::{JobResult, Metrics};
 use hirise_core::rng::{Rng, SeedableRng, SliceRandom, StdRng};
 use hirise_core::{
@@ -16,13 +17,14 @@ use hirise_core::{
 };
 use hirise_phys::{DesignPoint, SwitchDesign};
 use hirise_sim::dragonfly::{sample_dead_links, DragonflyConfig, DragonflyGeometry, GlobalLinkMap};
-use hirise_sim::mesh_sim::{MeshPortMap, MeshReport, MeshSimConfig};
-use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
+use hirise_sim::mesh_sim::{MeshGeometry, MeshPortMap, MeshReport};
+use hirise_sim::shard::{ShardedConfig, ShardedSim};
 use hirise_sim::traffic::{
     BitComplement, Bursty, Diurnal, Hotspot, Incast, InterLayerOnly, NeighborShift,
     RandomPermutation, Rpc, Tornado, TrafficPattern, Transpose, UniformRandom, WorstCaseL2lc,
 };
 use hirise_sim::{NetworkSim, SimConfig, SimReport};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// The default base seed, matching [`SimConfig::new`]'s default so
@@ -338,6 +340,35 @@ impl PatternSpec {
         }
     }
 
+    /// Whether the pattern can drive `n` endpoints, i.e. whether
+    /// [`build`](Self::build) accepts `n` and every destination it
+    /// draws is an endpoint.
+    fn check(&self, n: usize) -> Result<(), String> {
+        let fits = match self {
+            PatternSpec::Hotspot { output } => *output < n,
+            PatternSpec::Transpose => {
+                let side = (n as f64).sqrt().round() as usize;
+                side * side == n
+            }
+            PatternSpec::BitComplement => n.is_power_of_two(),
+            PatternSpec::Tornado | PatternSpec::NeighborShift => n >= 2,
+            PatternSpec::InterLayerOnly { layers } | PatternSpec::WorstCaseL2lc { layers } => {
+                *layers >= 2 && n.is_multiple_of(*layers)
+            }
+            PatternSpec::Incast { fanin } => *fanin <= n,
+            PatternSpec::Rpc { .. } => n >= 4,
+            PatternSpec::Uniform
+            | PatternSpec::Bursty
+            | PatternSpec::RandomPermutation { .. }
+            | PatternSpec::Diurnal { .. } => n >= 1,
+        };
+        if fits {
+            Ok(())
+        } else {
+            Err(format!("{} cannot drive {n} endpoints", self.label()))
+        }
+    }
+
     fn canonical_json(&self, out: &mut String) {
         let _ = write!(out, "\"{}\"", self.label());
     }
@@ -535,10 +566,12 @@ impl Default for FaultSpec {
 /// Simulation methodology shared by every job of a campaign:
 /// everything except the fabric, the pattern, the offered load and the
 /// seed. Defaults match the paper's methodology (4 VCs × 4 flits,
-/// 4-flit packets, 2k warmup / 20k measure / 20k drain).
+/// 4-flit packets, 2k warmup / 20k measure / 20k drain). Mesh and
+/// dragonfly jobs take every field except `vc_depth_flits`, `window`
+/// and `record_invariants`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimParams {
-    /// Virtual channels per input port (single-switch topology only).
+    /// Virtual channels per input port.
     pub vcs: usize,
     /// VC buffer depth in flits (single-switch topology only).
     pub vc_depth_flits: usize,
@@ -627,6 +660,19 @@ impl SimParams {
             .record_invariants(self.record_invariants)
     }
 
+    /// The [`ShardedConfig`] of one mesh or dragonfly job.
+    fn to_sharded_config(&self, load: f64, seed: u64) -> ShardedConfig {
+        let mut cfg = ShardedConfig::new()
+            .injection_rate(load)
+            .warmup(self.warmup)
+            .measure(self.measure)
+            .drain(self.drain)
+            .seed(seed);
+        cfg.vcs = self.vcs;
+        cfg.packet_len_flits = self.packet_len_flits;
+        cfg
+    }
+
     fn canonical_json(&self, out: &mut String) {
         let _ = write!(
             out,
@@ -695,6 +741,81 @@ pub enum Topology {
 }
 
 impl Topology {
+    /// The endpoints a job drives on switches of `radix` ports (the
+    /// radix itself for a single switch, the cores of a mesh, the
+    /// endpoints of a dragonfly), or why the topology cannot be built
+    /// on them.
+    fn endpoints(&self, radix: usize) -> Result<usize, String> {
+        match *self {
+            Topology::SingleSwitch => Ok(radix),
+            Topology::Mesh { .. } => self.mesh(radix).map(|geo| geo.total_cores()),
+            Topology::Dragonfly {
+                routers_per_group,
+                endpoints_per_router,
+                groups,
+                ..
+            } => self
+                .dragonfly(radix, &[])
+                .map(|_| routers_per_group * groups * endpoints_per_router),
+        }
+    }
+
+    /// A mesh topology's geometry on `radix`-port switches.
+    fn mesh(&self, radix: usize) -> Result<MeshGeometry, String> {
+        let Topology::Mesh {
+            cols,
+            rows,
+            ports_per_direction,
+            layer_aware,
+        } = *self
+        else {
+            return Err("not a mesh".to_string());
+        };
+        let map = match layer_aware {
+            Some(layers) => MeshPortMap::LayerAware { layers },
+            None => MeshPortMap::Contiguous,
+        };
+        MeshGeometry::try_new(cols, rows, ports_per_direction, radix, map)
+            .map_err(|e| e.to_string())
+    }
+
+    /// A dragonfly topology's geometry on `radix`-port switches with
+    /// the given dead wafer links.
+    fn dragonfly(
+        &self,
+        radix: usize,
+        dead: &[(usize, usize)],
+    ) -> Result<DragonflyGeometry, String> {
+        let Topology::Dragonfly {
+            routers_per_group,
+            endpoints_per_router,
+            global_per_router,
+            groups,
+            palmtree,
+        } = *self
+        else {
+            return Err("not a dragonfly".to_string());
+        };
+        if routers_per_group == 0 || endpoints_per_router == 0 || global_per_router == 0 {
+            return Err("a dragonfly needs routers, endpoints and wafer links".to_string());
+        }
+        if groups < 2 {
+            return Err("a dragonfly needs at least two groups".to_string());
+        }
+        let dcfg = DragonflyConfig::new(
+            routers_per_group,
+            endpoints_per_router,
+            global_per_router,
+            groups,
+        )
+        .map(if palmtree {
+            GlobalLinkMap::Palmtree
+        } else {
+            GlobalLinkMap::Consecutive
+        });
+        DragonflyGeometry::new(dcfg, radix, dead).map_err(|e| e.to_string())
+    }
+
     fn canonical_json(&self, out: &mut String) {
         match self {
             Topology::SingleSwitch => out.push_str(r#""single-switch""#),
@@ -1123,28 +1244,15 @@ impl CampaignSpec {
                 let report = sim.run();
                 Self::single_switch_result(job, &sim, &report)
             }
-            Topology::Mesh {
-                cols,
-                rows,
-                ports_per_direction,
-                layer_aware,
-            } => {
-                let cfg = MeshSimConfig::new(*cols, *rows, *ports_per_direction)
-                    .injection_rate(job.load)
-                    .packet_len_flits(self.sim.packet_len_flits)
-                    .warmup(self.sim.warmup)
-                    .measure(self.sim.measure)
-                    .drain(self.sim.drain)
-                    .seed(job.seed)
-                    .port_map(match layer_aware {
-                        Some(layers) => MeshPortMap::LayerAware { layers: *layers },
-                        None => MeshPortMap::Contiguous,
-                    });
-                let radix = job.fabric.radix();
-                let cores = (radix - 4 * ports_per_direction) * cols * rows;
-                let mut sim = sharded_mesh(
-                    &cfg,
-                    radix,
+            Topology::Mesh { cols, rows, .. } => {
+                let geo = self
+                    .topology
+                    .mesh(job.fabric.radix())
+                    .expect("campaign mesh must be buildable");
+                let cores = geo.total_cores();
+                let mut sim = ShardedSim::new(
+                    geo,
+                    self.sim.to_sharded_config(job.load, job.seed),
                     self.shards.min(cols * rows),
                     |node| self.routed_fabric(job, &job.fault, node),
                     || job.pattern.build(cores),
@@ -1156,48 +1264,24 @@ impl CampaignSpec {
             Topology::Dragonfly {
                 routers_per_group,
                 endpoints_per_router,
-                global_per_router,
                 groups,
-                palmtree,
+                ..
             } => {
-                let radix = job.fabric.radix();
-                let dcfg = DragonflyConfig::new(
-                    *routers_per_group,
-                    *endpoints_per_router,
-                    *global_per_router,
-                    *groups,
-                )
-                .map(if *palmtree {
-                    GlobalLinkMap::Palmtree
-                } else {
-                    GlobalLinkMap::Consecutive
-                });
                 // The fault axis's dead-TSV count becomes dead wafer
                 // links between group pairs; the per-router fault fields
                 // keep their single-switch meaning.
-                let dead = sample_dead_links(
-                    *groups,
-                    job.fault.dead_tsvs,
-                    derive_seed(job.seed ^ 0xFA17_BA5E_D00D_F00D, job.fault.salt),
-                );
-                let geo = DragonflyGeometry::new(dcfg, radix, &dead)
+                let geo = self
+                    .topology
+                    .dragonfly(job.fabric.radix(), &self.dead_links(job))
                     .expect("campaign dragonfly must be buildable and routable");
                 let endpoints = routers_per_group * groups * endpoints_per_router;
-                let mut cfg = ShardedConfig::new()
-                    .injection_rate(job.load)
-                    .warmup(self.sim.warmup)
-                    .measure(self.sim.measure)
-                    .drain(self.sim.drain)
-                    .seed(job.seed);
-                cfg.vcs = self.sim.vcs;
-                cfg.packet_len_flits = self.sim.packet_len_flits;
                 let router_fault = FaultSpec {
                     dead_tsvs: 0,
                     ..job.fault.clone()
                 };
                 let mut sim = ShardedSim::new(
                     geo,
-                    cfg,
+                    self.sim.to_sharded_config(job.load, job.seed),
                     self.shards.min(routers_per_group * groups),
                     |node| self.routed_fabric(job, &router_fault, node),
                     || job.pattern.build(endpoints),
@@ -1207,6 +1291,69 @@ impl CampaignSpec {
                 Self::routed_result(job, &report, fault_events)
             }
         }
+    }
+
+    /// The dead wafer links of a dragonfly job: its fault's dead-TSV
+    /// count of group pairs, sampled from the job seed.
+    fn dead_links(&self, job: &Job) -> Vec<(usize, usize)> {
+        let Topology::Dragonfly { groups, .. } = self.topology else {
+            return Vec::new();
+        };
+        sample_dead_links(
+            groups,
+            job.fault.dead_tsvs,
+            derive_seed(job.seed ^ 0xFA17_BA5E_D00D_F00D, job.fault.salt),
+        )
+    }
+
+    /// Checks that every job can be built and run, so a parsed spec
+    /// never panics a worker: every expanded fabric radix must host the
+    /// topology, every pattern must suit the endpoint count that gives,
+    /// and a dragonfly must have enough wafer links for each fault's
+    /// dead-TSV count and stay routable around each job's sample.
+    /// [`campaign_from_value`](crate::parse::campaign_from_value)
+    /// calls it.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Invalid`] naming the first part that cannot run.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let invalid = |context: String, message: String| SpecError::Invalid { context, message };
+        let radices: BTreeSet<usize> = self
+            .expanded_fabrics()
+            .iter()
+            .map(FabricSpec::radix)
+            .collect();
+        for radix in radices {
+            let endpoints = self
+                .topology
+                .endpoints(radix)
+                .map_err(|e| invalid("topology".to_string(), format!("on radix {radix}: {e}")))?;
+            for (i, pattern) in self.patterns.iter().enumerate() {
+                pattern.check(endpoints).map_err(|e| {
+                    invalid(format!("patterns[{i}]"), format!("{e} (radix {radix})"))
+                })?;
+            }
+        }
+        if let Topology::Dragonfly { groups, .. } = self.topology {
+            let links = groups * groups.saturating_sub(1) / 2;
+            for (i, fault) in self.faults.iter().enumerate() {
+                if fault.dead_tsvs > links {
+                    return Err(invalid(
+                        format!("faults[{i}].dead_tsvs"),
+                        format!("cannot kill {} of {links} wafer links", fault.dead_tsvs),
+                    ));
+                }
+            }
+            for job in self.jobs().iter().filter(|job| job.fault.dead_tsvs > 0) {
+                self.topology
+                    .dragonfly(job.fabric.radix(), &self.dead_links(job))
+                    .map_err(|e| {
+                        invalid("faults".to_string(), format!("job {}: {e}", job.index))
+                    })?;
+            }
+        }
+        Ok(())
     }
 
     /// Builds one node's fabric for a routed (mesh or dragonfly)
@@ -1349,6 +1496,42 @@ mod tests {
         assert_ne!(
             a.digest(),
             a.clone().sim(SimParams::new().drain(0)).digest()
+        );
+    }
+
+    #[test]
+    fn mesh_campaigns_honour_the_vc_count() {
+        // A 2x2 mesh near its saturation load: with one VC a blocked
+        // head packet holds up everything behind it in its port.
+        let record = |vcs: usize| {
+            let spec = CampaignSpec::new("vcs")
+                .topology(Topology::Mesh {
+                    cols: 2,
+                    rows: 2,
+                    ports_per_direction: 2,
+                    layer_aware: None,
+                })
+                .fabric(FabricSpec::hirise(
+                    HiRiseConfig::builder(16, 2)
+                        .channel_multiplicity(2)
+                        .build()
+                        .unwrap(),
+                ))
+                .pattern(PatternSpec::Uniform)
+                .loads([0.08])
+                .sim(SimParams {
+                    vcs,
+                    ..SimParams::quick()
+                });
+            spec.run_job(&spec.jobs()[0])
+        };
+        let (one, four) = (record(1), record(4));
+        assert_ne!(one, four, "the mesh ignored sim.vcs");
+        assert!(
+            one.metrics.avg_latency_cycles > four.metrics.avg_latency_cycles,
+            "one VC ({}) should queue longer than four ({})",
+            one.metrics.avg_latency_cycles,
+            four.metrics.avg_latency_cycles
         );
     }
 

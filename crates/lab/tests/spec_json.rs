@@ -3,6 +3,10 @@
 //! key reordering and whitespace — the properties that make
 //! content-addressed result caching sound (two requests that *mean*
 //! the same campaign hash the same, however their JSON was formatted).
+//! The random generator also draws shapes that cannot run (a pattern
+//! that does not fit the endpoint count, a mesh too big for a radix);
+//! parsing refuses those with the typed error
+//! [`CampaignSpec::validate`] gives, and round-trips everything else.
 
 use hirise_core::rng::{Rng, SeedableRng, StdRng};
 use hirise_core::{
@@ -10,7 +14,8 @@ use hirise_core::{
 };
 use hirise_lab::json::{self, Json};
 use hirise_lab::{
-    campaign_from_json, CampaignSpec, FabricSpec, FaultSpec, PatternSpec, SimParams, Topology,
+    campaign_from_json, CampaignSpec, FabricSpec, FaultSpec, PatternSpec, SimParams, SpecError,
+    Topology,
 };
 use std::fmt::Write as _;
 
@@ -226,21 +231,49 @@ fn random_spec(round: usize, rng: &mut StdRng) -> CampaignSpec {
 
 // --- properties ---------------------------------------------------------
 
+/// Parses `text`, an encoding of `spec`. A refusal must be exactly the
+/// typed error `spec.validate()` gives, so only a shape that cannot run
+/// is ever refused, never an encoding. `None` when refused.
+fn parse_unless_refused(spec: &CampaignSpec, text: &str, round: usize) -> Option<CampaignSpec> {
+    match campaign_from_json(text) {
+        Ok(parsed) => Some(parsed),
+        Err(e) => {
+            assert!(
+                matches!(e, SpecError::Invalid { .. }),
+                "round {round}: {e}\n{text}"
+            );
+            assert_eq!(
+                spec.validate(),
+                Err(e),
+                "round {round}: refused a spec that validates\n{text}"
+            );
+            None
+        }
+    }
+}
+
 /// Seeded property: for random campaigns across every axis, parsing
-/// the canonical JSON reproduces the spec exactly (same digest, same
-/// canonical bytes).
+/// the canonical JSON either refuses the spec with a typed error or
+/// reproduces it exactly (same digest, same canonical bytes).
 #[test]
 fn random_specs_round_trip_through_canonical_json() {
     let mut rng = StdRng::seed_from_u64(0x5EC1_A11B);
+    let mut round_tripped = 0;
     for round in 0..60 {
         let spec = random_spec(round, &mut rng);
         let text = spec.canonical_json();
-        let parsed = campaign_from_json(&text)
-            .unwrap_or_else(|e| panic!("round {round}: canonical JSON rejected: {e}\n{text}"));
+        let Some(parsed) = parse_unless_refused(&spec, &text, round) else {
+            continue;
+        };
+        round_tripped += 1;
         assert_eq!(parsed, spec, "round {round}");
         assert_eq!(parsed.digest(), spec.digest(), "round {round}");
         assert_eq!(parsed.canonical_json(), text, "round {round}");
     }
+    assert!(
+        round_tripped >= 30,
+        "only {round_tripped} of 60 specs parsed"
+    );
 }
 
 /// Seeded property: the digest is invariant under JSON key reordering
@@ -250,13 +283,16 @@ fn random_specs_round_trip_through_canonical_json() {
 fn digest_is_invariant_under_key_order_and_whitespace() {
     let mut rng = StdRng::seed_from_u64(0xD16E_57AB);
     let mut some_text_differed = false;
+    let mut parsed_count = 0;
     for round in 0..60 {
         let spec = random_spec(round, &mut rng);
         let canonical = spec.canonical_json();
         let scrambled = scramble(&canonical, &mut rng);
+        let Some(parsed) = parse_unless_refused(&spec, &scrambled, round) else {
+            continue;
+        };
+        parsed_count += 1;
         some_text_differed |= scrambled != canonical;
-        let parsed = campaign_from_json(&scrambled)
-            .unwrap_or_else(|e| panic!("round {round}: scrambled JSON rejected: {e}\n{scrambled}"));
         assert_eq!(parsed, spec, "round {round}\n{scrambled}");
         assert_eq!(parsed.digest(), spec.digest(), "round {round}");
         // The job-level cache identity is equally format-independent.
@@ -274,6 +310,7 @@ fn digest_is_invariant_under_key_order_and_whitespace() {
         some_text_differed,
         "scrambler never changed the text; the property is vacuous"
     );
+    assert!(parsed_count >= 30, "only {parsed_count} of 60 specs parsed");
 }
 
 /// A hand-written (non-random) pin of the same invariant, so a failure

@@ -158,6 +158,16 @@ fn malformed_input_gets_typed_errors_and_the_connection_survives() {
             "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"sim\":{\"vc_depth\":2,\"packet_len\":4}}}",
             "bad_spec",
         ),
+        (
+            // Job shapes that would panic a worker (and, journaled,
+            // every recovery after it): refused at admission.
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"fabrics\":[{\"kind\":\"2d\",\"radix\":8}],\"patterns\":[\"incast64\"],\"loads\":[0.1]}}",
+            "bad_spec",
+        ),
+        (
+            "{\"op\":\"submit\",\"spec\":{\"name\":\"x\",\"topology\":{\"kind\":\"mesh\",\"cols\":2,\"rows\":2,\"ports_per_direction\":4},\"fabrics\":[{\"kind\":\"2d\",\"radix\":16}],\"patterns\":[\"uniform\"],\"loads\":[0.1]}}",
+            "bad_spec",
+        ),
     ] {
         client.send(line);
         let response = client.recv_json();

@@ -77,7 +77,8 @@ impl Fabric for RefSwitch {
         self.radix
     }
 
-    fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
+    fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
+        grants.clear();
         // First request per idle input only, as the trait contract says.
         let mut requested: Vec<Option<OutputId>> = vec![None; self.radix];
         for request in requests {
@@ -92,7 +93,6 @@ impl Fabric for RefSwitch {
                 requested[input] = Some(request.output);
             }
         }
-        let mut grants = Vec::new();
         for output in 0..self.radix {
             if self.owners[output].is_some() {
                 continue;
@@ -114,7 +114,6 @@ impl Fabric for RefSwitch {
                 });
             }
         }
-        grants
     }
 
     fn release(&mut self, input: InputId) {
@@ -686,126 +685,6 @@ pub fn fuzz(
     (0..rounds).find_map(|round| fuzz_once(fleet, radix, cycles, rate, base_seed + round))
 }
 
-/// The first cycle at which [`Fabric::arbitrate`] and
-/// [`Fabric::arbitrate_into`] disagreed on twin instances of one fabric.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArbitrateIntoDivergence {
-    /// Cycle of the divergence.
-    pub cycle: u64,
-    /// Grants from the allocating entry point, as `(input, output)`.
-    pub via_arbitrate: Vec<(usize, usize)>,
-    /// Grants from the buffer-reusing entry point, as `(input, output)`.
-    pub via_arbitrate_into: Vec<(usize, usize)>,
-}
-
-impl fmt::Display for ArbitrateIntoDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cycle {}: arbitrate granted {:?} but arbitrate_into granted {:?}",
-            self.cycle, self.via_arbitrate, self.via_arbitrate_into
-        )
-    }
-}
-
-/// Co-steps two fresh instances of one fabric through `schedule` — one
-/// driven via the allocating [`Fabric::arbitrate`], the other via the
-/// buffer-reusing [`Fabric::arbitrate_into`] — and demands bit-identical
-/// grant vectors every cycle (same winners, same order).
-///
-/// Returns the number of cycles compared. The engine mirrors
-/// [`run_schedule`]'s cycle loop and stops at the schedule deadline even
-/// if traffic is still draining, so a run always terminates.
-///
-/// # Errors
-///
-/// Returns the first cycle whose grant vectors differ.
-pub fn check_arbitrate_into_equivalence(
-    build: fn(usize) -> Box<dyn Fabric>,
-    schedule: &Schedule,
-) -> Result<u64, ArbitrateIntoDivergence> {
-    let radix = schedule.radix;
-    let deadline = schedule.deadline();
-    let mut via_arbitrate = build(radix);
-    let mut via_into = build(radix);
-
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); radix];
-    let mut next_packet = 0usize;
-    let mut by_cycle: Vec<usize> = (0..schedule.packets.len()).collect();
-    by_cycle.sort_by_key(|&i| schedule.packets[i].inject_cycle);
-
-    let mut transfers: Vec<Option<(usize, usize)>> = vec![None; radix];
-    let mut delivered = 0usize;
-    let mut grants_into: Vec<Grant> = Vec::new();
-    let mut now = 0u64;
-
-    while delivered < schedule.packets.len() && now <= deadline {
-        for (input, transfer) in transfers.iter_mut().enumerate() {
-            if let Some((_, flits)) = transfer {
-                if *flits > 0 {
-                    *flits -= 1;
-                    if *flits == 0 {
-                        delivered += 1;
-                    }
-                } else {
-                    via_arbitrate.release(InputId::new(input));
-                    via_into.release(InputId::new(input));
-                    *transfer = None;
-                }
-            }
-        }
-
-        while next_packet < by_cycle.len()
-            && schedule.packets[by_cycle[next_packet]].inject_cycle <= now
-        {
-            let index = by_cycle[next_packet];
-            queues[schedule.packets[index].src].push_back(index);
-            next_packet += 1;
-        }
-
-        let mut requests = Vec::new();
-        for (input, queue) in queues.iter().enumerate() {
-            if transfers[input].is_some() {
-                continue;
-            }
-            if let Some(&index) = queue.front() {
-                requests.push(Request::new(
-                    InputId::new(input),
-                    OutputId::new(schedule.packets[index].dst),
-                ));
-            }
-        }
-
-        let grants = via_arbitrate.arbitrate(&requests);
-        via_into.arbitrate_into(&requests, &mut grants_into);
-        if grants != grants_into {
-            return Err(ArbitrateIntoDivergence {
-                cycle: now,
-                via_arbitrate: grants
-                    .iter()
-                    .map(|g| (g.input.index(), g.output.index()))
-                    .collect(),
-                via_arbitrate_into: grants_into
-                    .iter()
-                    .map(|g| (g.input.index(), g.output.index()))
-                    .collect(),
-            });
-        }
-
-        for grant in &grants {
-            let input = grant.input.index();
-            let index = queues[input]
-                .pop_front()
-                .expect("granted input has a queued packet");
-            transfers[input] = Some((index, schedule.packets[index].len_flits));
-        }
-
-        now += 1;
-    }
-
-    Ok(now)
-}
-
 /// Convenience: converts a schedule into the `Packet` type the
 /// `NetworkSim` statistics use — handy when replaying a shrunk
 /// counterexample inside the full simulator.
@@ -907,56 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn arbitrate_into_agrees_with_arbitrate_on_the_fleet() {
-        let mut rng = StdRng::seed_from_u64(0xA11C);
-        let schedule = Schedule::random(&mut rng, 16, 60, 0.25, 4);
-        for (name, build) in standard_fleet() {
-            check_arbitrate_into_equivalence(build, &schedule)
-                .unwrap_or_else(|d| panic!("{name}: {d}"));
-        }
-    }
-
-    #[test]
-    fn arbitrate_into_divergence_is_reported() {
-        // A fabric whose arbitrate_into override deliberately drops the
-        // last grant, so the two entry points disagree.
-        struct Lossy(RefSwitch);
-        impl Fabric for Lossy {
-            fn radix(&self) -> usize {
-                self.0.radix()
-            }
-            fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-                self.0.arbitrate(requests)
-            }
-            fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
-                grants.clear();
-                grants.extend(self.0.arbitrate(requests));
-                grants.pop();
-            }
-            fn release(&mut self, input: InputId) {
-                self.0.release(input);
-            }
-            fn connection(&self, input: InputId) -> Option<OutputId> {
-                self.0.connection(input)
-            }
-            fn output_busy(&self, output: OutputId) -> bool {
-                self.0.output_busy(output)
-            }
-        }
-        fn build(radix: usize) -> Box<dyn Fabric> {
-            Box::new(Lossy(RefSwitch::new(radix)))
-        }
-        let schedule = Schedule {
-            radix: 8,
-            packets: vec![packet(0, 0, 3)],
-        };
-        let divergence = check_arbitrate_into_equivalence(build, &schedule).unwrap_err();
-        assert_eq!(divergence.cycle, 0);
-        assert_eq!(divergence.via_arbitrate, vec![(0, 3)]);
-        assert!(divergence.via_arbitrate_into.is_empty());
-    }
-
-    #[test]
     fn shrink_finds_small_counterexample_for_seeded_bug() {
         // A deliberately broken fabric: drops every 5th granted packet's
         // release (holds the output forever), starving later traffic.
@@ -968,10 +797,9 @@ mod tests {
             fn radix(&self) -> usize {
                 self.inner.radix()
             }
-            fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-                let grants = self.inner.arbitrate(requests);
+            fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<Grant>) {
+                self.inner.arbitrate_into(requests, grants);
                 self.grants += grants.len();
-                grants
             }
             fn release(&mut self, input: InputId) {
                 // Leak the release after the 5th grant.

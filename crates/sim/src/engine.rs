@@ -1,10 +1,9 @@
-//! The shared per-node engine of the network-level simulators.
+//! The per-node engine of the network simulator.
 //!
-//! [`MeshSim`](crate::mesh_sim::MeshSim) and the sharded engine in
-//! [`crate::shard`] step the same three-phase cycle (transfers,
-//! injection, arbitration) over the same per-node state; this module
-//! holds that state and the two heavy phases, so both simulators run
-//! byte-identical semantics through one implementation.
+//! Each shard of [`ShardedSim`](crate::shard::ShardedSim) steps a
+//! three-phase cycle (transfers, injection, arbitration) over the
+//! nodes it owns; this module holds that per-node state and the two
+//! heavy phases.
 //!
 //! Two structural choices make the hot loop cheap:
 //!
@@ -41,7 +40,7 @@
 //! keeps its node scheduled and there is no missed-wakeup hazard.
 
 use crate::arena::PacketArena;
-use crate::invariant::{InvariantChecker, InvariantViolation};
+use crate::invariant::InvariantChecker;
 use crate::mesh_sim::MeshReport;
 use crate::packet::Packet;
 use crate::port::InputPort;
@@ -62,13 +61,13 @@ pub enum NetSchedule {
     ActiveSet,
 }
 
-/// Per-node simulation state shared by the mesh and sharded engines:
-/// flattened input ports, the packet arena, SoA transfer slots, the
-/// active sets, and persistent per-cycle scratch.
+/// Per-node simulation state of one shard: flattened input ports, the
+/// packet arena, SoA transfer slots, the active sets, and persistent
+/// per-cycle scratch.
 ///
-/// Node indices here are *local* (0-based within the owning simulator
-/// or shard); phase functions take `node_lo` to translate to global
-/// topology indices.
+/// Node indices here are *local* (0-based within the owning shard);
+/// phase functions take `node_lo` to translate to global topology
+/// indices.
 #[derive(Debug)]
 pub(crate) struct NodeEngine {
     pub(crate) nodes: usize,
@@ -202,7 +201,8 @@ impl NodeEngine {
     }
 
     /// Metadata-integrity violations recorded so far.
-    pub(crate) fn violations(&self) -> &[InvariantViolation] {
+    #[cfg(test)]
+    pub(crate) fn violations(&self) -> &[crate::invariant::InvariantViolation] {
         self.checker.violations()
     }
 
@@ -334,8 +334,8 @@ pub(crate) fn phase_transfers<F: Fabric, T: ShardTopology + ?Sized>(
 /// arbitrate the surviving requests, and launch the winners' transfers.
 ///
 /// `remote_occupancy` answers credit checks for downstream ports
-/// outside `[node_lo, node_lo + nodes)` (the shard frontier snapshots);
-/// unsharded callers can make it unreachable.
+/// outside `[node_lo, node_lo + nodes)` (the shard frontier
+/// snapshots); a lone shard never calls it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn phase_arbitrate<F: Fabric, T: ShardTopology + ?Sized>(
     eng: &mut NodeEngine,

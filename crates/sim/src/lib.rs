@@ -14,10 +14,12 @@
 //! closed-loop (windowed) injection ([`SimConfig::window`]), streaming
 //! log-bucketed latency percentiles
 //! ([`SimReport::latency_percentile_cycles`], backed by the mergeable
-//! [`LatencyHistogram`]), and a flit-level simulator for 2D meshes of
-//! Hi-Rise switches with XY routing and credit-based back-pressure
-//! ([`mesh_sim`], realising the paper's Fig. 13 topology; [`mesh`]
-//! holds the matching graph-level analysis). Load sweeps and the
+//! [`LatencyHistogram`]), and one flit-level network simulator,
+//! [`shard::ShardedSim`], for topologies of switches on one or many
+//! threads: 2D meshes of Hi-Rise switches with XY routing and
+//! credit-based back-pressure ([`mesh_sim`], realising the paper's
+//! Fig. 13 topology; [`mesh`] holds the matching graph-level analysis)
+//! and wafer-scale dragonflies ([`dragonfly`]). Load sweeps and the
 //! saturation search live in the `hirise-lab` experiment-campaign crate,
 //! which drives this simulator in parallel across configurations.
 //!
@@ -69,9 +71,8 @@ mod stats;
 pub mod traffic;
 
 pub use diff::{
-    check_arbitrate_into_equivalence, check_schedule, fuzz, run_schedule, shrink, standard_fleet,
-    ArbitrateIntoDivergence, CoSimOutcome, DiffFailure, DiffFailureKind, FabricBuilder, RefSwitch,
-    SchedPacket, Schedule, Violation,
+    check_schedule, fuzz, run_schedule, shrink, standard_fleet, CoSimOutcome, DiffFailure,
+    DiffFailureKind, FabricBuilder, RefSwitch, SchedPacket, Schedule, Violation,
 };
 pub use engine::NetSchedule;
 pub use invariant::{InvariantChecker, InvariantViolation};

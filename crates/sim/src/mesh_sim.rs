@@ -1,4 +1,6 @@
-//! Cycle-accurate simulation of a 2D mesh of switches (§VI-E, Fig. 13).
+//! The 2D mesh of switches (§VI-E, Fig. 13): its geometry, port
+//! layouts and telemetry. [`ShardedSim`](crate::shard::ShardedSim)
+//! simulates it, at one shard or many.
 //!
 //! Each mesh node is a full switch fabric (normally a
 //! [`HiRiseSwitch`](hirise_core::HiRiseSwitch)) whose ports are split
@@ -14,15 +16,8 @@
 //! `(g / cores_per_node)` in row-major order, at local core index
 //! `g % cores_per_node`.
 
-use crate::engine::{phase_arbitrate, phase_transfers, NetSchedule, NodeEngine};
-use crate::invariant::InvariantViolation;
-use crate::packet::Packet;
 use crate::stats::LatencyHistogram;
-use crate::traffic::TrafficPattern;
-use hirise_core::rng::derive_stream_seed;
-use hirise_core::rng::SeedableRng;
-use hirise_core::rng::StdRng;
-use hirise_core::{Fabric, InputId, OutputId, PacketHandle};
+use hirise_core::OutputId;
 
 /// The four mesh directions, in port-bank order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,122 +60,8 @@ pub enum MeshPortMap {
     },
 }
 
-/// Configuration of a mesh-of-switches simulation.
-#[derive(Clone, Debug)]
-pub struct MeshSimConfig {
-    pub(crate) cols: usize,
-    pub(crate) rows: usize,
-    pub(crate) ports_per_direction: usize,
-    pub(crate) vcs: usize,
-    pub(crate) packet_len_flits: usize,
-    pub(crate) injection_rate: f64,
-    pub(crate) link_buffer_packets: usize,
-    pub(crate) port_map: MeshPortMap,
-    pub(crate) warmup: u64,
-    pub(crate) measure: u64,
-    pub(crate) drain: u64,
-    pub(crate) seed: u64,
-    pub(crate) schedule: NetSchedule,
-}
-
-impl MeshSimConfig {
-    /// Creates a `cols x rows` mesh reserving `ports_per_direction`
-    /// switch ports per mesh direction; the defaults mirror the
-    /// single-switch methodology (4 VCs, 4-flit packets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mesh is empty or no ports are reserved.
-    pub fn new(cols: usize, rows: usize, ports_per_direction: usize) -> Self {
-        assert!(cols >= 1 && rows >= 1, "mesh must have at least one node");
-        assert!(
-            ports_per_direction >= 1,
-            "need at least one port per direction"
-        );
-        Self {
-            cols,
-            rows,
-            ports_per_direction,
-            vcs: 4,
-            packet_len_flits: 4,
-            injection_rate: 0.02,
-            link_buffer_packets: 4,
-            port_map: MeshPortMap::Contiguous,
-            warmup: 1_000,
-            measure: 10_000,
-            drain: 10_000,
-            seed: 0x3D_3E54,
-            schedule: NetSchedule::default(),
-        }
-    }
-
-    /// Selects the per-cycle scheduling strategy (see [`NetSchedule`]).
-    /// An execution knob, never a results knob: telemetry is
-    /// byte-identical across schedules.
-    pub fn schedule(mut self, schedule: NetSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets the offered load in packets/core/cycle.
-    pub fn injection_rate(mut self, rate: f64) -> Self {
-        self.injection_rate = rate;
-        self
-    }
-
-    /// Sets the downstream buffering a link-fed input port advertises
-    /// (in packets). A sender may only start a hop when the receiving
-    /// port has a free slot — credit-based back-pressure. XY
-    /// dimension-ordered routing plus guaranteed ejection keeps the
-    /// mesh deadlock-free at any buffer depth ≥ 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packets` is zero.
-    pub fn link_buffer_packets(mut self, packets: usize) -> Self {
-        assert!(packets >= 1, "links need at least one buffer slot");
-        self.link_buffer_packets = packets;
-        self
-    }
-
-    /// Selects the port-to-direction mapping (see [`MeshPortMap`]).
-    pub fn port_map(mut self, map: MeshPortMap) -> Self {
-        self.port_map = map;
-        self
-    }
-
-    /// Sets the warmup length in cycles.
-    pub fn warmup(mut self, cycles: u64) -> Self {
-        self.warmup = cycles;
-        self
-    }
-
-    /// Sets the measurement window in cycles.
-    pub fn measure(mut self, cycles: u64) -> Self {
-        self.measure = cycles;
-        self
-    }
-
-    /// Sets the drain cap in cycles.
-    pub fn drain(mut self, cycles: u64) -> Self {
-        self.drain = cycles;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the packet length in flits.
-    pub fn packet_len_flits(mut self, len: usize) -> Self {
-        self.packet_len_flits = len;
-        self
-    }
-}
-
-/// Results of a mesh (or sharded-topology) simulation.
+/// Results of a [`ShardedSim`](crate::shard::ShardedSim) run over a mesh
+/// or any other topology.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MeshReport {
     pub(crate) measured_cycles: u64,
@@ -316,10 +197,6 @@ impl PortLayout {
                 }
             }
             MeshPortMap::LayerAware { layers } => {
-                assert!(
-                    layers >= 1 && radix.is_multiple_of(layers),
-                    "bad layer count"
-                );
                 let per_layer = radix / layers;
                 for k in 0..p {
                     let preferred = k % layers;
@@ -363,11 +240,55 @@ impl PortLayout {
     }
 }
 
+/// Why a [`MeshGeometry`] could not be built.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MeshError {
+    /// Zero columns or zero rows.
+    Empty,
+    /// Zero ports reserved per mesh direction.
+    NoDirectionPorts,
+    /// The switch radix cannot host the direction ports plus a core.
+    RadixTooSmall {
+        /// The offered radix.
+        radix: usize,
+        /// Ports the shape needs (`4 * ports_per_direction + 1`).
+        needed: usize,
+    },
+    /// A layer-aware map over a layer count that does not divide the
+    /// radix.
+    BadLayerCount {
+        /// The switch radix.
+        radix: usize,
+        /// The map's layer count.
+        layers: usize,
+    },
+}
+
+impl std::fmt::Display for MeshError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MeshError::Empty => write!(f, "a mesh needs at least one column and one row"),
+            MeshError::NoDirectionPorts => {
+                write!(f, "a mesh needs at least one port per direction")
+            }
+            MeshError::RadixTooSmall { radix, needed } => write!(
+                f,
+                "radix {radix} too small: the direction ports and one core need {needed} ports"
+            ),
+            MeshError::BadLayerCount { radix, layers } => write!(
+                f,
+                "a layer-aware map needs a layer count that divides radix {radix}, got {layers}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MeshError {}
+
 /// The pure geometry of a 2D mesh of switches: node grid, port layout,
-/// XY routing and link wiring. Shared by the unsharded [`MeshSim`]
-/// reference and the sharded engine
-/// ([`ShardedSim`](crate::shard::ShardedSim)), so both walk exactly the
-/// same topology.
+/// XY routing and link wiring. Implements
+/// [`ShardTopology`](crate::shard::ShardTopology), so
+/// [`ShardedSim`](crate::shard::ShardedSim) runs it.
 #[derive(Clone, Debug)]
 pub struct MeshGeometry {
     cols: usize,
@@ -382,10 +303,49 @@ impl MeshGeometry {
     /// Builds the geometry for `cols x rows` switches of `radix` ports,
     /// reserving `ports_per_direction` per mesh direction.
     ///
+    /// # Errors
+    ///
+    /// [`MeshError`] if the mesh is empty, no direction ports are
+    /// reserved, `radix` cannot serve the direction ports plus at least
+    /// one core, or a layer-aware map's layer count does not divide
+    /// `radix`.
+    pub fn try_new(
+        cols: usize,
+        rows: usize,
+        ports_per_direction: usize,
+        radix: usize,
+        map: MeshPortMap,
+    ) -> Result<Self, MeshError> {
+        if cols == 0 || rows == 0 {
+            return Err(MeshError::Empty);
+        }
+        if ports_per_direction == 0 {
+            return Err(MeshError::NoDirectionPorts);
+        }
+        let needed = 4 * ports_per_direction + 1;
+        if radix < needed {
+            return Err(MeshError::RadixTooSmall { radix, needed });
+        }
+        if let MeshPortMap::LayerAware { layers } = map {
+            if layers == 0 || !radix.is_multiple_of(layers) {
+                return Err(MeshError::BadLayerCount { radix, layers });
+            }
+        }
+        Ok(Self {
+            cols,
+            rows,
+            ports_per_direction,
+            radix,
+            cores_per_node: radix - 4 * ports_per_direction,
+            layout: PortLayout::new(radix, ports_per_direction, map),
+        })
+    }
+
+    /// [`try_new`](Self::try_new) for shapes known to be valid.
+    ///
     /// # Panics
     ///
-    /// Panics if the mesh is empty, no direction ports are reserved, or
-    /// `radix` cannot serve the direction ports plus at least one core.
+    /// Panics on any shape `try_new` rejects.
     pub fn new(
         cols: usize,
         rows: usize,
@@ -393,25 +353,8 @@ impl MeshGeometry {
         radix: usize,
         map: MeshPortMap,
     ) -> Self {
-        assert!(cols >= 1 && rows >= 1, "mesh must have at least one node");
-        assert!(
-            ports_per_direction >= 1,
-            "need at least one port per direction"
-        );
-        assert!(
-            radix > 4 * ports_per_direction,
-            "radix {radix} cannot serve 4x{ports_per_direction} direction ports and cores"
-        );
-        let cores_per_node = radix - 4 * ports_per_direction;
-        let layout = PortLayout::new(radix, ports_per_direction, map);
-        Self {
-            cols,
-            rows,
-            ports_per_direction,
-            radix,
-            cores_per_node,
-            layout,
-        }
+        Self::try_new(cols, rows, ports_per_direction, radix, map)
+            .unwrap_or_else(|e| panic!("invalid mesh: {e}"))
     }
 
     /// Number of mesh nodes (switches).
@@ -498,264 +441,100 @@ impl MeshGeometry {
     }
 }
 
-/// A cycle-accurate mesh of switch fabrics with XY routing.
-///
-/// This is the single-threaded *reference* engine: the sharded engine in
-/// [`crate::shard`] reproduces its telemetry byte-for-byte at any shard
-/// count, which the twin-instance identity tests pin.
-#[derive(Debug)]
-pub struct MeshSim<F> {
-    cfg: MeshSimConfig,
-    geo: MeshGeometry,
-    switches: Vec<F>,
-    /// Ports, packet arena, transfer slots, active sets and scratch —
-    /// the state shared with the sharded engine.
-    engine: NodeEngine,
-    /// Per-core injection RNG streams, seeded purely by
-    /// `(cfg.seed, core)` so injection is a function of global position
-    /// — the property that lets shards own disjoint core ranges and
-    /// still reproduce this exact traffic.
-    rngs: Vec<StdRng>,
-    /// Per-core injected-packet counts; packet ids are
-    /// `core << 32 | count`, unique and position-derived.
-    seqs: Vec<u64>,
-    now: u64,
-}
-
-impl<F: Fabric> MeshSim<F> {
-    /// Builds the mesh, creating one switch per node via `make_switch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the switches are too small for the reserved direction
-    /// ports, or disagree in radix.
-    pub fn new(cfg: MeshSimConfig, mut make_switch: impl FnMut() -> F) -> Self {
-        Self::with_switches(cfg, move |_node| make_switch())
-    }
-
-    /// Builds the mesh with a per-node switch factory: `make_switch`
-    /// receives the global node index, so callers can configure each
-    /// switch individually (notably to inject node-specific faults).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the switches are too small for the reserved direction
-    /// ports, or disagree in radix.
-    pub fn with_switches(cfg: MeshSimConfig, mut make_switch: impl FnMut(usize) -> F) -> Self {
-        let nodes = cfg.cols * cfg.rows;
-        let switches: Vec<F> = (0..nodes).map(&mut make_switch).collect();
-        let radix = switches[0].radix();
-        assert!(
-            switches.iter().all(|s| s.radix() == radix),
-            "all mesh switches must share a radix"
-        );
-        let geo = MeshGeometry::new(
-            cfg.cols,
-            cfg.rows,
-            cfg.ports_per_direction,
-            radix,
-            cfg.port_map,
-        );
-        let total_cores = geo.total_cores();
-        Self {
-            engine: NodeEngine::new(&switches, cfg.vcs, cfg.schedule, false),
-            switches,
-            rngs: (0..total_cores)
-                .map(|core| StdRng::seed_from_u64(derive_stream_seed(cfg.seed, core as u64)))
-                .collect(),
-            seqs: vec![0; total_cores],
-            now: 0,
-            geo,
-            cfg,
-        }
-    }
-
-    /// Total cores attached to the mesh.
-    pub fn total_cores(&self) -> usize {
-        self.geo.total_cores()
-    }
-
-    /// Cores per mesh node.
-    pub fn cores_per_node(&self) -> usize {
-        self.geo.cores_per_node()
-    }
-
-    /// Total fault events logged across all mesh switches.
-    pub fn fault_event_count(&self) -> u64 {
-        self.switches
-            .iter()
-            .map(|s| s.fault_log().map_or(0, |log| log.total()))
-            .sum()
-    }
-
-    /// Sum over cycles of the number of routers doing per-cycle work
-    /// (the active `work` set) — divide by `cycles * nodes` for the
-    /// mean active-router occupancy.
-    pub fn active_node_cycles(&self) -> u64 {
-        self.engine.active_node_cycles()
-    }
-
-    /// Metadata-integrity violations recorded so far (a buffered packet
-    /// whose arena slot went missing — formerly a process abort).
-    pub fn invariant_violations(&self) -> &[InvariantViolation] {
-        self.engine.violations()
-    }
-
-    /// Total invariant violations observed, including beyond the
-    /// record cap.
-    pub fn invariant_violation_count(&self) -> u64 {
-        self.engine.violation_count()
-    }
-
-    /// A fresh all-zero report shaped for this simulation — pair with
-    /// [`run_cycles`](Self::run_cycles) for externally driven cycle
-    /// loops.
-    pub fn empty_report(&self) -> MeshReport {
-        MeshReport::empty(self.cfg.measure, self.total_cores())
-    }
-
-    /// Advances exactly `cycles` cycles without draining — the
-    /// benchmarking entry point, mirroring
-    /// [`ShardedSim::run_cycles`](crate::shard::ShardedSim::run_cycles).
-    pub fn run_cycles(
-        &mut self,
-        pattern: &mut dyn TrafficPattern,
-        report: &mut MeshReport,
-        cycles: u64,
-    ) {
-        for _ in 0..cycles {
-            self.step(pattern, report);
-        }
-    }
-
-    /// Runs the configured warmup + measurement + drain and reports.
-    pub fn run(&mut self, pattern: &mut dyn TrafficPattern) -> MeshReport {
-        let mut report = MeshReport::empty(self.cfg.measure, self.total_cores());
-        for _ in 0..self.cfg.warmup + self.cfg.measure {
-            self.step(pattern, &mut report);
-        }
-        let mut drained = 0;
-        while report.completed_measured < report.injected_measured && drained < self.cfg.drain {
-            self.step(pattern, &mut report);
-            drained += 1;
-        }
-        report
-    }
-
-    fn in_window(&self) -> bool {
-        self.now >= self.cfg.warmup && self.now < self.cfg.warmup + self.cfg.measure
-    }
-
-    fn step(&mut self, pattern: &mut dyn TrafficPattern, report: &mut MeshReport) {
-        let in_window = self.in_window();
-
-        // (a) Progress transfers: completions either eject (deliver) or
-        // forward into the neighbour's input buffer; the release beat
-        // follows one cycle later, as in the single-switch model. This
-        // mesh is unsharded, so every wire stays local.
-        phase_transfers(
-            &mut self.engine,
-            &mut self.switches,
-            &self.geo,
-            0,
-            report,
-            in_window,
-            self.now,
-            |_, _, _, _| unreachable!("unsharded mesh has no shard boundaries"),
-        );
-
-        // (b) Injection at core ports: each core draws from its own
-        // position-derived RNG stream and numbers its own packets
-        // (`core << 32 | seq`), so injection at any core is independent
-        // of every other core's activity.
-        for core in 0..self.total_cores() {
-            let Some(dst) = pattern.next(
-                InputId::new(core),
-                self.cfg.injection_rate,
-                &mut self.rngs[core],
-            ) else {
-                continue;
-            };
-            let node = self.geo.node_of_core(core);
-            let input_port = self.geo.core_port(core % self.geo.cores_per_node());
-            let seq = self.seqs[core];
-            self.seqs[core] += 1;
-            debug_assert!(seq < 1 << 32, "per-core packet sequence overflow");
-            let packet = Packet {
-                id: ((core as u64) << 32) | seq,
-                src: InputId::new(input_port),
-                dst: OutputId::new(dst.index()), // final core id, re-routed per hop
-                len_flits: self.cfg.packet_len_flits,
-                birth_cycle: self.now,
-                measured: in_window,
-                handle: PacketHandle::NONE, // assigned by the arena below
-            };
-            if in_window {
-                report.injected_measured += 1;
-            }
-            self.engine.admit_new(node, input_port, packet, 0);
-        }
-
-        // (c) Buffer, select, arbitrate and launch per active node.
-        phase_arbitrate(
-            &mut self.engine,
-            &mut self.switches,
-            &self.geo,
-            0,
-            self.cfg.link_buffer_packets,
-            self.cfg.packet_len_flits,
-            |_, _| unreachable!("unsharded mesh reads every occupancy locally"),
-        );
-
-        self.now += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{Custom, UniformRandom};
-    use hirise_core::{HiRiseConfig, HiRiseSwitch};
+    use crate::shard::{ShardedConfig, ShardedSim};
+    use crate::traffic::{Custom, TrafficPattern, UniformRandom};
+    use hirise_core::{HiRiseConfig, HiRiseSwitch, InputId};
 
-    fn small_mesh(cfg: MeshSimConfig) -> MeshSim<HiRiseSwitch> {
-        // 16-radix Hi-Rise switches over 2 layers; 2 ports per direction
-        // leaves 8 cores per node.
+    /// A mesh of 16-radix Hi-Rise switches over 2 layers; 2 ports per
+    /// direction leave 8 cores per node.
+    fn small_mesh(
+        cols: usize,
+        rows: usize,
+        map: MeshPortMap,
+        cfg: ShardedConfig,
+        shards: usize,
+        pattern: impl FnMut() -> Box<dyn TrafficPattern>,
+    ) -> ShardedSim<HiRiseSwitch, MeshGeometry> {
         let switch_cfg = HiRiseConfig::builder(16, 2)
             .channel_multiplicity(2)
             .build()
             .expect("valid configuration");
-        MeshSim::new(cfg, move || HiRiseSwitch::new(&switch_cfg))
+        ShardedSim::new(
+            MeshGeometry::new(cols, rows, 2, 16, map),
+            cfg,
+            shards,
+            |_node| HiRiseSwitch::new(&switch_cfg),
+            pattern,
+        )
+    }
+
+    fn uniform(cores: usize) -> impl FnMut() -> Box<dyn TrafficPattern> {
+        move || Box::new(UniformRandom::new(cores))
+    }
+
+    /// One packet from core `src` to core `dst`, then silence.
+    fn single(src: usize, dst: usize) -> impl FnMut() -> Box<dyn TrafficPattern> {
+        move || {
+            let mut fired = false;
+            Box::new(Custom::new(
+                "single",
+                move |input: InputId, _r, _rng: &mut _| {
+                    if input.index() == src && !fired {
+                        fired = true;
+                        Some(OutputId::new(dst))
+                    } else {
+                        None
+                    }
+                },
+            ))
+        }
     }
 
     #[test]
     fn geometry_is_consistent() {
-        let sim = small_mesh(MeshSimConfig::new(3, 2, 2));
-        assert_eq!(sim.cores_per_node(), 8);
-        assert_eq!(sim.total_cores(), 48);
+        let geo = MeshGeometry::new(3, 2, 2, 16, MeshPortMap::Contiguous);
+        assert_eq!(geo.cores_per_node(), 8);
+        assert_eq!(geo.total_cores(), 48);
+    }
+
+    #[test]
+    fn invalid_shapes_are_errors() {
+        let try_new = |cols, ppd, radix, map| MeshGeometry::try_new(cols, 2, ppd, radix, map);
+        let contiguous = MeshPortMap::Contiguous;
+        assert_eq!(try_new(0, 2, 16, contiguous).unwrap_err(), MeshError::Empty);
+        assert_eq!(
+            try_new(2, 0, 16, contiguous).unwrap_err(),
+            MeshError::NoDirectionPorts
+        );
+        assert_eq!(
+            try_new(2, 4, 16, contiguous).unwrap_err(),
+            MeshError::RadixTooSmall {
+                radix: 16,
+                needed: 17
+            }
+        );
+        assert_eq!(
+            try_new(2, 2, 16, MeshPortMap::LayerAware { layers: 3 }).unwrap_err(),
+            MeshError::BadLayerCount {
+                radix: 16,
+                layers: 3
+            }
+        );
+        assert!(try_new(2, 2, 9, contiguous).is_ok(), "one core is enough");
     }
 
     #[test]
     fn single_packet_crosses_the_mesh() {
-        let mut sim = small_mesh(
-            MeshSimConfig::new(3, 2, 2)
-                .warmup(0)
-                .measure(200)
-                .drain(200),
-        );
         // One packet from core 0 (node 0) to core 47 (node 5).
-        let mut fired = false;
-        let mut pattern = Custom::new("single", move |input: InputId, _r, _rng: &mut _| {
-            if input.index() == 0 && !fired {
-                fired = true;
-                Some(OutputId::new(47))
-            } else {
-                None
-            }
-        });
-        let report = sim.run(&mut pattern);
+        let cfg = ShardedConfig::new().warmup(0).measure(200).drain(200);
+        let mut sim = small_mesh(3, 2, MeshPortMap::Contiguous, cfg, 1, single(0, 47));
+        let report = sim.run();
         assert_eq!(report.completed_measured(), 1);
-        // Node 0 -> 1 -> 2 -> 5: 3 switch hops... XY: (0,0) to (2,1):
-        // East, East, South, then eject = 4 traversals.
+        // XY from (0,0) to (2,1): East, East, South, then eject = 4
+        // switch traversals.
         assert_eq!(report.avg_hops(), 4.0);
         assert!(
             report.avg_latency_cycles() >= 12.0,
@@ -766,37 +545,23 @@ mod tests {
 
     #[test]
     fn same_node_traffic_stays_local() {
-        let mut sim = small_mesh(
-            MeshSimConfig::new(2, 2, 2)
-                .warmup(0)
-                .measure(100)
-                .drain(100),
-        );
-        let mut fired = false;
-        let mut pattern = Custom::new("local", move |input: InputId, _r, _rng: &mut _| {
-            if input.index() == 1 && !fired {
-                fired = true;
-                Some(OutputId::new(3)) // same node 0
-            } else {
-                None
-            }
-        });
-        let report = sim.run(&mut pattern);
+        // Cores 1 and 3 both live on node 0.
+        let cfg = ShardedConfig::new().warmup(0).measure(100).drain(100);
+        let mut sim = small_mesh(2, 2, MeshPortMap::Contiguous, cfg, 1, single(1, 3));
+        let report = sim.run();
         assert_eq!(report.completed_measured(), 1);
         assert_eq!(report.avg_hops(), 1.0);
     }
 
     #[test]
     fn low_load_uniform_random_is_stable() {
-        let mut sim = small_mesh(
-            MeshSimConfig::new(2, 2, 2)
-                .injection_rate(0.01)
-                .warmup(500)
-                .measure(4_000)
-                .drain(6_000),
-        );
-        let mut pattern = UniformRandom::new(32);
-        let report = sim.run(&mut pattern);
+        let cfg = ShardedConfig::new()
+            .injection_rate(0.01)
+            .warmup(500)
+            .measure(4_000)
+            .drain(6_000);
+        let mut sim = small_mesh(2, 2, MeshPortMap::Contiguous, cfg, 1, uniform(32));
+        let report = sim.run();
         assert!(
             report.is_stable(),
             "{} of {} completed",
@@ -809,15 +574,12 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut sim = small_mesh(
-                MeshSimConfig::new(2, 2, 2)
-                    .injection_rate(0.02)
-                    .warmup(100)
-                    .measure(1_000)
-                    .seed(seed),
-            );
-            let mut pattern = UniformRandom::new(32);
-            let report = sim.run(&mut pattern);
+            let cfg = ShardedConfig::new()
+                .injection_rate(0.02)
+                .warmup(100)
+                .measure(1_000)
+                .seed(seed);
+            let report = small_mesh(2, 2, MeshPortMap::Contiguous, cfg, 1, uniform(32)).run();
             (report.completed_measured(), report.latency_sum)
         };
         assert_eq!(run(9), run(9));
@@ -871,19 +633,13 @@ mod tests {
 
     #[test]
     fn layer_aware_mesh_delivers_traffic() {
-        let switch_cfg = HiRiseConfig::builder(16, 2)
-            .channel_multiplicity(2)
-            .build()
-            .expect("valid configuration");
-        let cfg = MeshSimConfig::new(3, 2, 2)
-            .port_map(MeshPortMap::LayerAware { layers: 2 })
+        let cfg = ShardedConfig::new()
             .injection_rate(0.01)
             .warmup(500)
             .measure(3_000)
             .drain(6_000);
-        let mut sim = MeshSim::new(cfg, move || HiRiseSwitch::new(&switch_cfg));
-        let mut pattern = UniformRandom::new(sim.total_cores());
-        let report = sim.run(&mut pattern);
+        let map = MeshPortMap::LayerAware { layers: 2 };
+        let report = small_mesh(3, 2, map, cfg, 1, uniform(48)).run();
         assert!(report.is_stable());
         assert!(report.avg_hops() >= 1.0);
     }
@@ -893,31 +649,36 @@ mod tests {
         // Funnel traffic from every core to one corner node; with
         // credit-based links the interior buffers must never exceed the
         // advertised depth (the packets pile up at the sources instead).
-        let mut sim = small_mesh(
-            MeshSimConfig::new(3, 3, 2)
+        // Three shards put shard boundaries on the funnel's path, so
+        // the credit checks also read published remote occupancies.
+        for shards in [1, 3] {
+            let mut cfg = ShardedConfig::new()
                 .injection_rate(0.05)
-                .link_buffer_packets(2)
                 .warmup(0)
                 .measure(2_000)
-                .drain(0),
-        );
-        let cores = sim.total_cores();
-        let mut pattern = Custom::new("corner", move |_input: InputId, rate, rng: &mut _| {
-            use hirise_core::rng::Rng;
-            rng.gen_bool(f64::clamp(rate, 0.0, 1.0))
-                .then(|| OutputId::new(cores - 1))
-        });
-        let report = sim.run(&mut pattern);
-        // The run should deliver something and never violate the credit
-        // invariant (checked below on the final state).
-        assert!(report.accepted_rate() > 0.0);
-        for node in 0..9 {
-            let p = 2 * 4; // link-fed ports are the first 4*p
-            for input in 0..p {
-                assert!(
-                    sim.engine.port(node, input).occupancy() <= 2,
-                    "node {node} port {input} overflowed"
-                );
+                .drain(0);
+            cfg.link_buffer_packets = 2;
+            let corner = move || -> Box<dyn TrafficPattern> {
+                Box::new(Custom::new(
+                    "corner",
+                    move |_input: InputId, rate, rng: &mut _| {
+                        use hirise_core::rng::Rng;
+                        rng.gen_bool(f64::clamp(rate, 0.0, 1.0))
+                            .then(|| OutputId::new(71))
+                    },
+                ))
+            };
+            let mut sim = small_mesh(3, 3, MeshPortMap::Contiguous, cfg, shards, corner);
+            let report = sim.run();
+            assert!(report.accepted_rate() > 0.0);
+            for node in 0..9 {
+                // Contiguous layout: the link-fed ports are the first 4*2.
+                for input in 0..8 {
+                    assert!(
+                        sim.port(node, input).occupancy() <= 2,
+                        "{shards} shards: node {node} port {input} overflowed"
+                    );
+                }
             }
         }
     }
@@ -925,15 +686,14 @@ mod tests {
     #[test]
     fn congestion_raises_latency() {
         let latency_at = |rate: f64| {
-            let mut sim = small_mesh(
-                MeshSimConfig::new(2, 2, 2)
-                    .injection_rate(rate)
-                    .warmup(500)
-                    .measure(3_000)
-                    .drain(8_000),
-            );
-            let mut pattern = UniformRandom::new(32);
-            sim.run(&mut pattern).avg_latency_cycles()
+            let cfg = ShardedConfig::new()
+                .injection_rate(rate)
+                .warmup(500)
+                .measure(3_000)
+                .drain(8_000);
+            small_mesh(2, 2, MeshPortMap::Contiguous, cfg, 1, uniform(32))
+                .run()
+                .avg_latency_cycles()
         };
         assert!(latency_at(0.02) > latency_at(0.002));
     }

@@ -1,12 +1,15 @@
-//! Intra-simulation sharding: one large topology, many threads, one
-//! deterministic answer.
+//! The network simulator: one topology of switches, one or many
+//! threads, one deterministic answer.
 //!
-//! `hirise-lab` parallelizes *across* independent jobs; this module
-//! parallelizes *inside* one simulation. A [`ShardTopology`] is
-//! partitioned into contiguous blocks of nodes (and therefore
-//! endpoints), each owned by one shard. Shards advance in lockstep, one
-//! simulated cycle at a time, exchanging boundary flits at phase
-//! barriers:
+//! [`ShardedSim`] is the only network driver; meshes
+//! ([`MeshGeometry`]) and dragonflies
+//! ([`DragonflyGeometry`](crate::dragonfly::DragonflyGeometry)) both
+//! run through it. `hirise-lab` parallelizes *across* independent
+//! jobs; this module can also parallelize *inside* one simulation. A
+//! [`ShardTopology`] is partitioned into contiguous blocks of nodes
+//! (and therefore endpoints), each owned by one shard. Shards advance
+//! in lockstep, one simulated cycle at a time, exchanging boundary
+//! flits at phase barriers:
 //!
 //! 1. **Transfers** — every shard progresses the transfers of its own
 //!    nodes; a completion whose downstream node lives in another shard
@@ -21,13 +24,15 @@
 //!    and launches for its own nodes, then publishes its injected /
 //!    completed totals. *Barrier.*
 //!
-//! The per-node state and the heavy phases live in `crate::engine`,
-//! shared with the unsharded [`MeshSim`](crate::mesh_sim::MeshSim)
-//! reference: SoA packet arenas instead of per-node hash maps, and
-//! active-set scheduling so each shard's phases iterate only its nodes
-//! that actually hold traffic. Mailboxes carry an [`AtomicBool`] flag,
-//! so the per-pair boundary exchange costs one relaxed load — no lock
-//! — for every pair with no traffic this cycle.
+//! A single shard runs the same loop inline on the calling thread,
+//! with no barriers: it has no one to wait for.
+//!
+//! The per-node state and the heavy phases live in `crate::engine`:
+//! SoA packet arenas instead of per-node hash maps, and active-set
+//! scheduling so each shard's phases iterate only its nodes that
+//! actually hold traffic. Mailboxes carry an [`AtomicBool`] flag, so
+//! the per-pair boundary exchange costs one relaxed load — no lock —
+//! for every pair with no traffic this cycle.
 //!
 //! Determinism is structural, not incidental:
 //!
@@ -40,24 +45,24 @@
 //! - A port's occupancy is constant throughout phase 3 (only phases 1–2
 //!   change it), so credit checks read the same value whether the
 //!   downstream port is local, remote, or checked before or after its
-//!   own node arbitrates — exactly the value the single-threaded
-//!   reference reads.
+//!   own node arbitrates — exactly the value a single shard reads.
 //! - All telemetry counters are sums and mergeable histograms, so
 //!   per-shard partial reports fold into the single-instance report
 //!   bit-for-bit.
 //!
 //! The identity tests in `tests/shard_identity.rs` pin all of this:
-//! sharded telemetry at 1, 2 and 8 shards is byte-identical to the
-//! unsharded [`MeshSim`](crate::mesh_sim::MeshSim) reference, faults
-//! included; `tests/net_schedule.rs` additionally pins the active-set
-//! schedule byte-identical to the dense one at every shard count.
+//! mesh telemetry at 1, 2 and 8 shards equals reports pinned from the
+//! retired single-threaded mesh driver, faults included, and dragonfly
+//! telemetry is equal at every shard count; `tests/net_schedule.rs`
+//! additionally pins the active-set schedule byte-identical to the
+//! dense one at every shard count.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use crate::engine::{phase_arbitrate, phase_transfers, NetSchedule, NodeEngine};
-use crate::mesh_sim::{MeshGeometry, MeshReport, MeshSimConfig};
+use crate::mesh_sim::{MeshGeometry, MeshReport};
 use crate::packet::Packet;
 use crate::traffic::TrafficPattern;
 use hirise_core::rng::{derive_stream_seed, SeedableRng, StdRng};
@@ -135,9 +140,8 @@ impl ShardTopology for MeshGeometry {
     }
 }
 
-/// Simulation parameters shared by every sharded topology (the
-/// mesh-specific geometry fields of [`MeshSimConfig`] live in
-/// [`MeshGeometry`] instead).
+/// Simulation parameters shared by every topology (the shape of the
+/// network lives in the topology, e.g. [`MeshGeometry`]).
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Virtual channels per input port.
@@ -164,7 +168,7 @@ pub struct ShardedConfig {
 
 impl ShardedConfig {
     /// Defaults mirroring the single-switch methodology (4 VCs, 4-flit
-    /// packets), like [`MeshSimConfig::new`].
+    /// packets).
     pub fn new() -> Self {
         Self {
             vcs: 4,
@@ -176,20 +180,6 @@ impl ShardedConfig {
             drain: 10_000,
             seed: 0x3D_3E54,
             schedule: NetSchedule::default(),
-        }
-    }
-
-    pub(crate) fn from_mesh(cfg: &MeshSimConfig) -> Self {
-        Self {
-            vcs: cfg.vcs,
-            packet_len_flits: cfg.packet_len_flits,
-            injection_rate: cfg.injection_rate,
-            link_buffer_packets: cfg.link_buffer_packets,
-            warmup: cfg.warmup,
-            measure: cfg.measure,
-            drain: cfg.drain,
-            seed: cfg.seed,
-            schedule: cfg.schedule,
         }
     }
 
@@ -275,8 +265,7 @@ struct ShardState<F> {
     end_lo: usize,
     end_hi: usize,
     switches: Vec<F>,
-    /// Ports, packet arena, transfer slots, active sets and scratch —
-    /// the state shared with the unsharded reference.
+    /// Ports, packet arena, transfer slots, active sets and scratch.
     engine: NodeEngine,
     /// Per owned endpoint, its position-derived injection stream.
     rngs: Vec<StdRng>,
@@ -308,12 +297,11 @@ struct Totals {
     completed: AtomicU64,
 }
 
-/// A sharded cycle-accurate simulation of a [`ShardTopology`], running
-/// one worker thread per shard (inline when there is only one shard).
+/// A cycle-accurate simulation of a [`ShardTopology`], running one
+/// worker thread per shard (inline and barrier-free when there is only
+/// one shard).
 ///
-/// Telemetry is byte-identical at any shard count, and — for the mesh —
-/// byte-identical to the unsharded [`MeshSim`](crate::mesh_sim::MeshSim)
-/// reference.
+/// Telemetry is byte-identical at any shard count.
 pub struct ShardedSim<F, T> {
     topo: T,
     cfg: ShardedConfig,
@@ -325,7 +313,8 @@ pub struct ShardedSim<F, T> {
     /// allocate nothing.
     mail: Vec<Vec<Mailbox>>,
     totals: Vec<Totals>,
-    barrier: Barrier,
+    /// Lockstep barrier, absent at one shard.
+    barrier: Option<Barrier>,
     now: u64,
 }
 
@@ -455,7 +444,7 @@ impl<F: Fabric, T: ShardTopology> ShardedSim<F, T> {
                     completed: AtomicU64::new(0),
                 })
                 .collect(),
-            barrier: Barrier::new(shards),
+            barrier: (shards > 1).then(|| Barrier::new(shards)),
             now: 0,
         }
     }
@@ -501,13 +490,20 @@ impl<F: Fabric, T: ShardTopology> ShardedSim<F, T> {
         self.shards.iter().map(|s| s.engine.violation_count()).sum()
     }
 
+    /// The input port at global `(node, input)`.
+    #[cfg(test)]
+    pub(crate) fn port(&self, node: usize, input: usize) -> &crate::port::InputPort {
+        let shard = &self.shards[shard_of(&self.starts, node)];
+        shard.engine.port(node - shard.node_lo, input)
+    }
+
     /// Cycles simulated so far.
     pub fn now(&self) -> u64 {
         self.now
     }
 
     /// Runs the configured warmup + measurement + drain and reports.
-    /// Call once on a fresh instance (like `MeshSim::run`).
+    /// Call once on a fresh instance.
     pub fn run(&mut self) -> MeshReport {
         let fixed = self.cfg.warmup + self.cfg.measure;
         self.execute(fixed, Some(self.cfg.drain));
@@ -553,7 +549,7 @@ impl<F: Fabric, T: ShardTopology> ShardedSim<F, T> {
         let frontier = &*frontier;
         let mail = &*mail;
         let totals = &*totals;
-        let barrier = &*barrier;
+        let barrier = barrier.as_ref();
 
         // Seed the totals with the state so far, so a drain decision in
         // a later `execute` call sees earlier windows' counters.
@@ -606,32 +602,6 @@ impl<F: Fabric, T: ShardTopology> ShardedSim<F, T> {
     }
 }
 
-/// Convenience constructor: a sharded mesh simulation equivalent to
-/// `MeshSim::with_switches(cfg, make_switch)` driven by `make_pattern`
-/// traffic, split over `shards` threads.
-pub fn sharded_mesh<F: Fabric>(
-    cfg: &MeshSimConfig,
-    radix: usize,
-    shards: usize,
-    make_switch: impl FnMut(usize) -> F,
-    make_pattern: impl FnMut() -> Box<dyn TrafficPattern>,
-) -> ShardedSim<F, MeshGeometry> {
-    let geo = MeshGeometry::new(
-        cfg.cols,
-        cfg.rows,
-        cfg.ports_per_direction,
-        radix,
-        cfg.port_map,
-    );
-    ShardedSim::new(
-        geo,
-        ShardedConfig::from_mesh(cfg),
-        shards,
-        make_switch,
-        make_pattern,
-    )
-}
-
 /// One shard's lockstep loop. Returns the number of cycles advanced
 /// (identical across shards).
 #[allow(clippy::too_many_arguments)]
@@ -644,7 +614,7 @@ fn worker<F: Fabric, T: ShardTopology>(
     mail: &[Vec<Mailbox>],
     frontier: &Frontier,
     totals: &[Totals],
-    barrier: &Barrier,
+    barrier: Option<&Barrier>,
     start_now: u64,
     fixed: u64,
     drain_cap: Option<u64>,
@@ -702,7 +672,7 @@ fn worker<F: Fabric, T: ShardTopology>(
                 },
             );
         }
-        barrier.wait();
+        sync(barrier);
 
         // Drain inbound handoffs in sender order (deterministic; at
         // most one packet per port per cycle regardless). The flag
@@ -736,7 +706,7 @@ fn worker<F: Fabric, T: ShardTopology>(
         }
         st.engine.touched.clear();
         phase_inject(st, topo, cfg, in_window, now);
-        barrier.wait();
+        sync(barrier);
 
         {
             let ShardState {
@@ -762,9 +732,17 @@ fn worker<F: Fabric, T: ShardTopology>(
             .completed
             .store(st.report.completed_measured, Ordering::Relaxed);
         advanced += 1;
-        barrier.wait();
+        sync(barrier);
     }
     advanced
+}
+
+/// Waits for every other shard; a lone shard has none to wait for, and
+/// skipping the wait saves a futex call three times a cycle.
+fn sync(barrier: Option<&Barrier>) {
+    if let Some(barrier) = barrier {
+        barrier.wait();
+    }
 }
 
 /// Phase 2: injection at this shard's endpoints, each from its own

@@ -1,17 +1,23 @@
-//! Twin-instance identity tests for the sharded engine: the whole
-//! point of `crate::shard` is that shard count is an *execution* knob,
-//! never a *results* knob. Every test here compares complete
-//! [`MeshReport`]s (counters and latency histogram) with `==`.
+//! Identity tests for the sharded engine: the whole point of
+//! `crate::shard` is that shard count is an *execution* knob, never a
+//! *results* knob. Mesh runs at every shard count must equal the
+//! reports pinned from the retired single-threaded mesh driver
+//! (below), and dragonfly runs must equal each other; both compare
+//! complete [`MeshReport`]s (counters and latency histogram).
 
+mod fingerprint;
+
+use fingerprint::Fingerprint;
 use hirise_core::rng::derive_stream_seed;
 use hirise_core::{Fabric, Fault, FaultSite, HiRiseConfig, HiRiseSwitch};
 use hirise_core::{InputId, OutputId};
 use hirise_sim::dragonfly::{DragonflyConfig, DragonflyGeometry};
-use hirise_sim::mesh_sim::{MeshReport, MeshSim, MeshSimConfig};
-use hirise_sim::shard::{sharded_mesh, ShardedConfig, ShardedSim};
+use hirise_sim::mesh_sim::{MeshGeometry, MeshPortMap, MeshReport};
+use hirise_sim::shard::{ShardedConfig, ShardedSim};
 use hirise_sim::traffic::{Custom, TrafficPattern, UniformRandom};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
+const MEASURE: u64 = 600;
 
 fn switch16() -> HiRiseConfig {
     HiRiseConfig::builder(16, 2)
@@ -22,39 +28,81 @@ fn switch16() -> HiRiseConfig {
 
 /// A 4x2 mesh of radix-16 switches: 8 nodes (so an 8-shard run puts
 /// one node per shard), 64 cores.
-fn mesh_cfg() -> MeshSimConfig {
-    MeshSimConfig::new(4, 2, 2)
+fn mesh_geometry() -> MeshGeometry {
+    MeshGeometry::new(4, 2, 2, 16, MeshPortMap::Contiguous)
+}
+
+fn mesh_cfg(seed: u64) -> ShardedConfig {
+    ShardedConfig::new()
         .injection_rate(0.02)
         .warmup(100)
-        .measure(600)
+        .measure(MEASURE)
         .drain(600)
-        .seed(0xC0FFEE)
+        .seed(seed)
 }
 
-fn mesh_reference(cfg: &MeshSimConfig) -> MeshReport {
-    let switch_cfg = switch16();
-    let mut sim = MeshSim::new(cfg.clone(), move || HiRiseSwitch::new(&switch_cfg));
-    let mut pattern = UniformRandom::new(sim.total_cores());
-    sim.run(&mut pattern)
+// Reports pinned from the single-threaded mesh driver that `ShardedSim`
+// replaced, recorded on the last commit that had it (where its reports
+// equalled the sharded engine's at 1, 2 and 8 shards).
+
+/// The fault-free mesh's pinned report.
+fn fault_free_mesh() -> Fingerprint {
+    Fingerprint {
+        cores: 64,
+        injected: 764,
+        completed: 764,
+        delivered: 753,
+        hop_sum: 2092,
+        latency_sum: 11412,
+        latency_min: Some(4),
+        latency_max: Some(78),
+        buckets: vec![
+            4, 79, 5, 2, 6, 2, 7, 1, 8, 109, 9, 19, 10, 19, 11, 15, 12, 111, 13, 29, 14, 19, 15,
+            34, 16, 57, 17, 28, 18, 21, 19, 32, 20, 37, 21, 19, 22, 25, 23, 15, 24, 13, 25, 13, 26,
+            8, 27, 7, 28, 6, 29, 9, 30, 6, 31, 4, 32, 4, 33, 1, 34, 1, 35, 3, 36, 4, 37, 2, 38, 1,
+            39, 1, 40, 1, 41, 1, 47, 1, 49, 1, 51, 1, 53, 1, 55, 1, 71, 1,
+        ],
+    }
 }
+
+/// The faulty mesh's pinned report.
+fn faulty_mesh() -> Fingerprint {
+    Fingerprint {
+        cores: 64,
+        injected: 791,
+        completed: 791,
+        delivered: 797,
+        hop_sum: 2171,
+        latency_sum: 13475,
+        latency_min: Some(4),
+        latency_max: Some(107),
+        buckets: vec![
+            4, 79, 5, 2, 6, 3, 7, 6, 8, 86, 9, 29, 10, 19, 11, 22, 12, 84, 13, 38, 14, 24, 15, 32,
+            16, 65, 17, 30, 18, 15, 19, 22, 20, 36, 21, 9, 22, 20, 23, 15, 24, 23, 25, 13, 26, 12,
+            27, 7, 28, 7, 29, 5, 30, 6, 31, 10, 32, 6, 33, 4, 34, 2, 35, 4, 36, 3, 37, 6, 38, 6,
+            39, 4, 40, 1, 41, 3, 42, 2, 43, 2, 44, 4, 45, 4, 46, 1, 47, 1, 49, 1, 52, 1, 54, 2, 55,
+            3, 56, 1, 58, 1, 59, 1, 62, 1, 64, 1, 65, 2, 67, 1, 70, 1, 71, 1, 73, 1, 85, 1,
+        ],
+    }
+}
+
+/// Fault events the faulty mesh logs.
+const FAULTY_MESH_FAULT_EVENTS: u64 = 148;
 
 #[test]
-fn sharded_mesh_is_byte_identical_to_unsharded() {
-    let cfg = mesh_cfg();
-    let reference = mesh_reference(&cfg);
-    assert!(reference.completed_measured() > 0, "nothing simulated");
+fn mesh_matches_the_pinned_reference_at_every_shard_count() {
     for shards in SHARD_COUNTS {
         let switch_cfg = switch16();
-        let mut sim = sharded_mesh(
-            &cfg,
-            16,
+        let mut sim = ShardedSim::new(
+            mesh_geometry(),
+            mesh_cfg(0xC0FFEE),
             shards,
             |_node| HiRiseSwitch::new(&switch_cfg),
             || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
         );
-        let report = sim.run();
         assert_eq!(
-            report, reference,
+            Fingerprint::of(&sim.run(), MEASURE),
+            fault_free_mesh(),
             "sharded mesh diverged from the reference at {shards} shards"
         );
     }
@@ -85,35 +133,24 @@ fn faulty_switch(node: usize, seed: u64) -> HiRiseSwitch {
 }
 
 #[test]
-fn sharded_mesh_with_faults_is_byte_identical() {
-    let cfg = mesh_cfg().seed(0xFA_117);
-    let reference = {
-        let mut node = 0;
-        let mut sim = MeshSim::new(cfg.clone(), move || {
-            let switch = faulty_switch(node, 0xFA_117);
-            node += 1;
-            switch
-        });
-        let mut pattern = UniformRandom::new(sim.total_cores());
-        sim.run(&mut pattern)
-    };
-    assert!(reference.completed_measured() > 0, "nothing simulated");
+fn faulty_mesh_matches_the_pinned_reference_at_every_shard_count() {
     for shards in SHARD_COUNTS {
-        let mut sim = sharded_mesh(
-            &cfg,
-            16,
+        let mut sim = ShardedSim::new(
+            mesh_geometry(),
+            mesh_cfg(0xFA_117),
             shards,
             |node| faulty_switch(node, 0xFA_117),
             || Box::new(UniformRandom::new(64)) as Box<dyn TrafficPattern>,
         );
-        let report = sim.run();
         assert_eq!(
-            report, reference,
+            Fingerprint::of(&sim.run(), MEASURE),
+            faulty_mesh(),
             "faulty sharded mesh diverged at {shards} shards"
         );
-        assert!(
-            sim.fault_event_count() > 0,
-            "fault mix should have produced events"
+        assert_eq!(
+            sim.fault_event_count(),
+            FAULTY_MESH_FAULT_EVENTS,
+            "fault event stream diverged at {shards} shards"
         );
     }
 }

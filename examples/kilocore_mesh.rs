@@ -9,8 +9,8 @@
 use hirise::core::HiRiseSwitch;
 use hirise::phys::SwitchDesign;
 use hirise::sim::mesh::{HiRiseMesh, NodeId};
-use hirise::sim::mesh_sim::MeshSimConfig;
-use hirise::sim::shard::sharded_mesh;
+use hirise::sim::mesh_sim::{MeshGeometry, MeshPortMap};
+use hirise::sim::shard::{ShardedConfig, ShardedSim};
 use hirise::sim::traffic::UniformRandom;
 
 fn main() {
@@ -65,14 +65,21 @@ fn main() {
     println!("\nflit-level simulation (uniform random, 0.005 packets/core/ns):");
     println!("  sharded across {shards} worker thread(s), telemetry shard-count-invariant");
     let rate = 0.005 / switch.frequency_ghz();
-    let sim_cfg = MeshSimConfig::new(mesh.cols(), mesh.rows(), 6)
+    let geo = MeshGeometry::new(
+        mesh.cols(),
+        mesh.rows(),
+        6,
+        switch_cfg.radix(),
+        MeshPortMap::Contiguous,
+    );
+    let sim_cfg = ShardedConfig::new()
         .injection_rate(rate)
         .warmup(500)
         .measure(4_000);
     let total_cores = mesh.total_cores();
-    let mut sim = sharded_mesh(
-        &sim_cfg,
-        switch_cfg.radix(),
+    let mut sim = ShardedSim::new(
+        geo,
+        sim_cfg,
         shards,
         |_node| HiRiseSwitch::new(&switch_cfg),
         || Box::new(UniformRandom::new(total_cores)),

@@ -4,25 +4,45 @@
 
 use hirise::core::{HiRiseConfig, HiRiseSwitch, InputId, OutputId};
 use hirise::sim::mesh::{HiRiseMesh, NodeId};
-use hirise::sim::mesh_sim::{MeshPortMap, MeshReport, MeshSim, MeshSimConfig};
-use hirise::sim::traffic::{Custom, UniformRandom};
+use hirise::sim::mesh_sim::{MeshGeometry, MeshPortMap, MeshReport};
+use hirise::sim::shard::{ShardedConfig, ShardedSim};
+use hirise::sim::traffic::{Custom, TrafficPattern, UniformRandom};
 
 fn paper_switch() -> HiRiseConfig {
     HiRiseConfig::paper_optimal()
 }
 
+/// A `cols x rows` mesh of paper-optimal 64-radix switches with 6
+/// ports per direction (40 cores per node), on one shard.
+fn mesh(
+    cols: usize,
+    rows: usize,
+    map: MeshPortMap,
+    cfg: ShardedConfig,
+    pattern: impl FnMut() -> Box<dyn TrafficPattern>,
+) -> ShardedSim<HiRiseSwitch, MeshGeometry> {
+    let switch_cfg = paper_switch();
+    ShardedSim::new(
+        MeshGeometry::new(cols, rows, 6, 64, map),
+        cfg,
+        1,
+        |_node| HiRiseSwitch::new(&switch_cfg),
+        pattern,
+    )
+}
+
 #[test]
 fn flit_level_hops_match_graph_analysis() {
     // 3x3 mesh of 64-radix switches, 6 ports/direction -> 40 cores/node.
-    let switch_cfg = paper_switch();
-    let cfg = MeshSimConfig::new(3, 3, 6)
+    let cfg = ShardedConfig::new()
         .injection_rate(0.002)
         .warmup(500)
         .measure(4_000)
         .drain(8_000);
-    let mut sim = MeshSim::new(cfg, || HiRiseSwitch::new(&switch_cfg));
-    let mut pattern = UniformRandom::new(sim.total_cores());
-    let report = sim.run(&mut pattern);
+    let report = mesh(3, 3, MeshPortMap::Contiguous, cfg, || {
+        Box::new(UniformRandom::new(360))
+    })
+    .run();
     assert!(report.is_stable());
 
     let mesh = HiRiseMesh::new(3, 3, paper_switch(), 6);
@@ -36,23 +56,23 @@ fn flit_level_hops_match_graph_analysis() {
 
 #[test]
 fn corner_to_corner_route_length() {
-    let switch_cfg = paper_switch();
-    let cfg = MeshSimConfig::new(4, 4, 6)
-        .warmup(0)
-        .measure(500)
-        .drain(500);
-    let mut sim = MeshSim::new(cfg, || HiRiseSwitch::new(&switch_cfg));
-    let cores = sim.total_cores();
-    let mut fired = false;
-    let mut pattern = Custom::new("corner", move |input: InputId, _r, _rng: &mut _| {
-        if input.index() == 0 && !fired {
-            fired = true;
-            Some(OutputId::new(cores - 1))
-        } else {
-            None
-        }
-    });
-    let report = sim.run(&mut pattern);
+    let cfg = ShardedConfig::new().warmup(0).measure(500).drain(500);
+    let cores = 4 * 4 * 40;
+    let report = mesh(4, 4, MeshPortMap::Contiguous, cfg, || {
+        let mut fired = false;
+        Box::new(Custom::new(
+            "corner",
+            move |input: InputId, _r, _rng: &mut _| {
+                if input.index() == 0 && !fired {
+                    fired = true;
+                    Some(OutputId::new(cores - 1))
+                } else {
+                    None
+                }
+            },
+        ))
+    })
+    .run();
     assert_eq!(report.completed_measured(), 1);
     // (0,0) to (3,3): 3 east + 3 south + 1 eject = 7 switch traversals,
     // matching the graph route.
@@ -66,32 +86,31 @@ fn corner_to_corner_route_length() {
 #[test]
 fn layer_aware_mapping_helps_cross_traffic() {
     let run = |map: MeshPortMap| -> MeshReport {
-        let switch_cfg = paper_switch();
         let cols = 4;
         let cores_per_node = 64 - 24;
-        let cfg = MeshSimConfig::new(cols, 2, 6)
-            .port_map(map)
+        let cfg = ShardedConfig::new()
             .injection_rate(0.03)
             .warmup(500)
             .measure(4_000)
             .drain(0)
             .seed(3);
-        let mut sim = MeshSim::new(cfg, || HiRiseSwitch::new(&switch_cfg));
-        let mut pattern = Custom::new("horizontal", move |input: InputId, r, rng| {
-            use hirise_core::rng::Rng;
-            let node = input.index() / cores_per_node;
-            if !node.is_multiple_of(cols) {
-                return None;
-            }
-            if !rng.gen_bool(f64::clamp(r, 0.0, 1.0)) {
-                return None;
-            }
-            let dst_node = node + (cols - 1);
-            Some(OutputId::new(
-                dst_node * cores_per_node + rng.gen_range(0..cores_per_node),
-            ))
-        });
-        sim.run(&mut pattern)
+        mesh(cols, 2, map, cfg, || {
+            Box::new(Custom::new("horizontal", move |input: InputId, r, rng| {
+                use hirise_core::rng::Rng;
+                let node = input.index() / cores_per_node;
+                if !node.is_multiple_of(cols) {
+                    return None;
+                }
+                if !rng.gen_bool(f64::clamp(r, 0.0, 1.0)) {
+                    return None;
+                }
+                let dst_node = node + (cols - 1);
+                Some(OutputId::new(
+                    dst_node * cores_per_node + rng.gen_range(0..cores_per_node),
+                ))
+            }))
+        })
+        .run()
     };
     let contiguous = run(MeshPortMap::Contiguous);
     let aware = run(MeshPortMap::LayerAware { layers: 4 });
